@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .expr import CON, ERR, VAR, ExoticUse, Expr
+from .expr import CON, ERR, VAR, Binder1, ExoticUse, Expr
 from .terms import (
     Abs,
     App,
@@ -46,7 +46,6 @@ from .terms import (
     replace_probe,
 )
 
-Binder1 = Callable[[Expr], Expr]
 Binder2 = Callable[[Expr, Expr], Expr]
 
 
@@ -64,9 +63,7 @@ class PurityError(Exception):
 double_eval_check = False
 
 
-def _eval_body(fn, probes: tuple[ProbeId, ...]) -> DbTerm:
-    args = tuple(Expr(Probe(p)) for p in probes)
-    out = fn(*args)
+def _as_body(out: object) -> DbTerm:
     if not isinstance(out, Expr):
         raise TypeError(
             f"binder argument must return Expr values, got {type(out).__name__}"
@@ -75,11 +72,13 @@ def _eval_body(fn, probes: tuple[ProbeId, ...]) -> DbTerm:
 
 
 def _probed(fn, probes: tuple[ProbeId, ...]) -> DbTerm:
-    body = _eval_body(fn, probes)
+    # ``fn`` is called from here directly: every frame between two nested
+    # binders lowers the nesting depth the host stack allows
+    body = _as_body(fn(*(Expr(Probe(p)) for p in probes)))
     if double_eval_check:
         again = tuple(fresh_probe() for _ in probes)
         norm = body
-        renorm = _eval_body(fn, again)
+        renorm = _as_body(fn(*(Expr(Probe(q)) for q in again)))
         for p, q in zip(probes, again):
             marker = Probe(fresh_probe())  # not forgeable by the closure
             norm = replace_probe(norm, p, marker)
@@ -87,6 +86,20 @@ def _probed(fn, probes: tuple[ProbeId, ...]) -> DbTerm:
         if norm != renorm:
             raise PurityError("closure returned different bodies on re-evaluation")
     return body
+
+
+def _session(fn, arity: int = 1) -> tuple[tuple[ProbeId, ...], DbTerm | None]:
+    """``fn`` evaluated on fresh probes: the probes and the body, which is
+    None exactly when ``fn`` inspected one of them. Inspecting an
+    enclosing binder's probe keeps propagating.
+    """
+    probes = tuple(fresh_probe() for _ in range(arity))
+    try:
+        return probes, _probed(fn, probes)
+    except ExoticUse as exc:
+        if exc.pids.isdisjoint(probes):
+            raise
+        return probes, None
 
 
 def lbind(i: int, fn: Binder1) -> DbTerm:
@@ -107,14 +120,7 @@ def lbind(i: int, fn: Binder1) -> DbTerm:
 
 def abstr(fn: Binder1) -> bool:
     """True iff ``fn`` is syntactic: it treats its argument opaquely."""
-    p = fresh_probe()
-    try:
-        _probed(fn, (p,))
-    except ExoticUse as exc:
-        if p in exc.pids:
-            return False
-        raise
-    return True
+    return _session(fn)[1] is not None
 
 
 def LAM(fn: Binder1) -> Expr:
@@ -124,13 +130,9 @@ def LAM(fn: Binder1) -> Expr:
     anything else becomes the error term, so a binding is the error term
     exactly when its closure was not syntactic.
     """
-    p = fresh_probe()
-    try:
-        body = _probed(fn, (p,))
-    except ExoticUse as exc:
-        if p in exc.pids:
-            return ERR()
-        raise
+    (p,), body = _session(fn)
+    if body is None:
+        return ERR()
     return Expr(Abs(bind_probe(body, p, 0)))
 
 
@@ -138,26 +140,13 @@ def ordinary(fn: Binder1) -> bool:
     """False exactly for the bare-argument closure and for exotic ones;
     true whenever the body has a top-level constructor of its own.
     """
-    p = fresh_probe()
-    try:
-        body = _probed(fn, (p,))
-    except ExoticUse as exc:
-        if p in exc.pids:
-            return False
-        raise
-    return body != Probe(p)
+    (p,), body = _session(fn)
+    return body is not None and body != Probe(p)
 
 
 def abstr_2(fn: Binder2) -> bool:
     """Two-argument analogue of ``abstr``, decided on a pair of probes."""
-    p, q = fresh_probe(), fresh_probe()
-    try:
-        _probed(fn, (p, q))
-    except ExoticUse as exc:
-        if p in exc.pids or q in exc.pids:
-            return False
-        raise
-    return True
+    return _session(fn, 2)[1] is not None
 
 
 @dataclass(frozen=True)
@@ -223,13 +212,9 @@ def classify(fn: Binder1) -> AbstrClassification:
     Exactly one variant applies; it is ``Exotic`` precisely when
     ``abstr(fn)`` is false.
     """
-    p = fresh_probe()
-    try:
-        body = _probed(fn, (p,))
-    except ExoticUse as exc:
-        if p in exc.pids:
-            return Exotic()
-        raise
+    (p,), body = _session(fn)
+    if body is None:
+        return Exotic()
     if body == Probe(p):
         return Identity()
     match body:

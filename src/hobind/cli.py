@@ -2,7 +2,7 @@
 
 Subcommands: encode, decode, show, check-abstr, sweep. Exit codes:
 0 success, 1 law violation, 2 usage or parse error, 3 domain error
-(term outside the expected image).
+(term outside the expected image, or input nested too deeply).
 """
 
 from __future__ import annotations
@@ -196,6 +196,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (NotInImage, NotProper, NotAnAbstraction, ExoticUse) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except RecursionError:
+        # nested LAM closures, the named-term parser and encode recurse in the host
+        print("error: input nests too deeply", file=sys.stderr)
         return EXIT_DOMAIN
     raise AssertionError(f"unhandled command {args.command!r}")
 

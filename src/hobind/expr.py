@@ -22,6 +22,7 @@ from .terms import (
     Err,
     ProbeId,
     Var,
+    _render,
     instantiate,
     level,
     probe_ids,
@@ -216,24 +217,24 @@ def pretty(e: Expr) -> str:
     """Display form: ``CON c``, ``VAR n``, ``s $$ t`` (left-associative),
     ``ERR``, ``LAM x1. body`` with display names chosen by binding depth.
     """
-    t = _transparent(e, "pretty")
 
-    def go(t: DbTerm, depth: int, prec: int) -> str:
-        match t:
-            case Con(name):
-                return f"CON {name}"
-            case Var(n):
-                return f"VAR {n}"
-            case Err():
-                return "ERR"
-            case Bnd(i):
-                return f"x{depth - i}"
-            case App(l, r):
-                s = f"{go(l, depth, 1)} $$ {go(r, depth, 2)}"
-                return f"({s})" if prec > 1 else s
-            case Abs(b):
-                s = f"LAM x{depth + 1}. {go(b, depth + 1, 0)}"
-                return f"({s})" if prec > 0 else s
-        raise AssertionError(f"unreachable node: {t!r}")
+    def texts(node: DbTerm, depth: int):
+        cls = type(node)
+        if cls is App:
+            # a binder left of ``$$`` and any non-leaf right of it need parentheses
+            lp, rp = type(node.left) is Abs, type(node.right) in (App, Abs)
+            return ("(" if lp else "", (")" if lp else "") + " $$ " + ("(" if rp else ""),
+                    ")" if rp else "")
+        if cls is Abs:
+            return (f"LAM x{depth + 1}. ", "")
+        if cls is Con:
+            return f"CON {node.name}"
+        if cls is Var:
+            return f"VAR {node.index}"
+        if cls is Err:
+            return "ERR"
+        if cls is Bnd:
+            return f"x{depth - node.index}"
+        raise AssertionError(f"unreachable node: {node!r}")
 
-    return go(t, 0, 0)
+    return _render(_transparent(e, "pretty"), texts)

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import random
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .binder import LAM
 from .expr import APP, CON, VAR, Expr, VApp, VLam, cases, expr_equal, to_db
-from .terms import Abs, App, Bnd, Con, DbTerm, ParseError, Var
+from .terms import Bnd, Con, DbTerm, ParseError, Var, fold
 
 
 class NotInImage(Exception):
@@ -66,6 +67,7 @@ class NApp:
 
 
 NamedTerm = Union[NVar, NFree, NLam, NApp]
+_NAMED = (NVar, NFree, NLam, NApp)
 
 
 @dataclass(frozen=True)
@@ -207,22 +209,27 @@ def parse(text: str) -> NamedTerm:
 
 
 def pretty(t: NamedTerm) -> str:
-    def atom(t: NamedTerm) -> str:
-        match t:
-            case NVar(name):
-                return name
-            case NFree(n):
-                return f"#{n}"
-            case _:
-                return f"({pretty(t)})"
-
-    match t:
-        case NLam(name, body):
-            return f"fn {name}. {pretty(body)}"
-        case NApp(l, r):
-            return f"{atom(l)} {atom(r)}"
-        case _:
-            return atom(t)
+    out: list[str] = []
+    todo: list = [(t, False)]  # (term, print as an atom) or a string to write
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        t, atom = item
+        if type(t) is NVar:
+            out.append(t.name)
+        elif type(t) is NFree:
+            out.append(f"#{t.index}")
+        elif atom:
+            out.append("(")
+            todo += (")", (t, False))
+        elif type(t) is NLam:
+            out.append(f"fn {t.name}. ")
+            todo.append((t.body, False))
+        else:
+            todo += ((t.right, True), " ", (t.left, True))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +257,13 @@ def encode(t: NamedTerm, sig: OlSig = DEFAULT_SIG) -> Expr:
     return go(t, {})
 
 
+# Besides named terms, ``decode`` folds subtrees to ``c_app $$ arg``
+# waiting for its second argument, to a binder waiting for ``c_lam``,
+# and to leaves that only an enclosing App can accept or reject.
+_AppHead = namedtuple("_AppHead", "arg")
+_Scope = namedtuple("_Scope", "name body")
+
+
 def decode(e: Expr, sig: OlSig = DEFAULT_SIG) -> NamedTerm:
     """Inverse of ``encode`` on its image; display names are x1, x2, ...
     by binder depth.
@@ -257,21 +271,27 @@ def decode(e: Expr, sig: OlSig = DEFAULT_SIG) -> NamedTerm:
     capp = Con(sig.c_app)
     clam = Con(sig.c_lam)
 
-    def go(t: DbTerm, depth: int) -> NamedTerm:
-        match t:
-            case Var(n):
-                return NFree(n)
-            case Bnd(i):
-                if i >= depth:
-                    raise NotInImage("dangling index")
-                return NVar(f"x{depth - i}")
-            case App(App(head, l), r) if head == capp:
-                return NApp(go(l, depth), go(r, depth))
-            case App(head, Abs(body)) if head == clam:
-                return NLam(f"x{depth + 1}", go(body, depth + 1))
-        raise NotInImage(f"term shape outside the encoding: {t!r}")
+    def leaf(node: DbTerm, depth: int):
+        if type(node) is Var:
+            return NFree(node.index)
+        if type(node) is Bnd and node.index < depth:
+            return NVar(f"x{depth - node.index}")
+        return node
 
-    return go(to_db(e), 0)
+    def app(left, right):
+        if type(right) is _Scope and left == clam and isinstance(right.body, _NAMED):
+            return NLam(right.name, right.body)
+        if isinstance(right, _NAMED):
+            if left == capp:
+                return _AppHead(right)
+            if type(left) is _AppHead:
+                return NApp(left.arg, right)
+        raise NotInImage("term shape outside the encoding")
+
+    out = fold(to_db(e), leaf, app, lambda body, depth: _Scope(f"x{depth + 1}", body))
+    if not isinstance(out, _NAMED):
+        raise NotInImage("term shape outside the encoding")
+    return out
 
 
 def alpha_eq(t: NamedTerm, u: NamedTerm) -> bool:

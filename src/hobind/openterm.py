@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 from . import binder
-from .binder import Binder1, Binder2, ground_samples
+from .binder import Binder2, ground_samples
 from .expr import (
     APP,
     CON,
     ERR,
     VAR,
+    Binder1,
     ExoticUse,
     Expr,
     VApp,
@@ -41,15 +42,16 @@ from .terms import (
     Con,
     DbTerm,
     Err,
-    Probe,
-    ProbeId,
-    Var,
-    _parse_sexpr,
-    _tokenize,
-    fresh_probe,
-    probe_ids,
-    to_text as _db_to_text,
     ParseError,
+    Var,
+    _db_text,
+    _parse_sexpr,
+    _render,
+    _tokenize,
+    probe_ids,
+    replace_probe,
+    rewrite,
+    walk,
 )
 
 
@@ -71,43 +73,8 @@ class Hole:
 Body = Union[DbTerm, Hole]
 
 
-def _body_level(i: int, t: Body) -> bool:
-    # holes stand for proper terms, so they are level-neutral
-    match t:
-        case Bnd(j):
-            return j < i
-        case Abs(b):
-            return _body_level(i + 1, b)
-        case App(l, r):
-            return _body_level(i, l) and _body_level(i, r)
-        case _:
-            return True
-
-
-def _hole_indices(t: Body) -> set[int]:
-    match t:
-        case Hole(k):
-            return {k}
-        case Abs(b):
-            return _hole_indices(b)
-        case App(l, r):
-            return _hole_indices(l) | _hole_indices(r)
-        case _:
-            return set()
-
-
-def _check_body(t: Body) -> bool:
-    match t:
-        case Hole(k):
-            return isinstance(k, int) and k >= 0
-        case Con(_) | Var(_) | Err() | Bnd(_):
-            return True
-        case Abs(b):
-            return _check_body(b)
-        case App(l, r):
-            return _check_body(l) and _check_body(r)
-        case _:
-            return False
+# node kinds an open-term body may hold besides holes and bound indices
+_BODY_KINDS = (App, Abs, Con, Var, Err)
 
 
 @dataclass(frozen=True)
@@ -120,26 +87,24 @@ class OpenTerm:
     body: Body
 
     def __post_init__(self):
-        if not _check_body(self.body):
-            raise ValueError(f"not an open-term body: {self.body!r}")
-        bad = [k for k in _hole_indices(self.body) if k >= self.arity]
-        if bad:
-            raise ValueError(f"hole index {max(bad)} outside arity {self.arity}")
-        if not _body_level(0, self.body):
+        holes, dangling = [], False
+        for node, depth in walk(self.body):
+            cls = type(node)
+            if cls is Hole and isinstance(node.index, int) and node.index >= 0:
+                holes.append(node.index)
+            elif cls is Bnd:
+                dangling = dangling or node.index >= depth
+            elif cls not in _BODY_KINDS:
+                raise ValueError(f"not an open-term body: {node!r}")
+        if holes and max(holes) >= self.arity:
+            raise ValueError(f"hole index {max(holes)} outside arity {self.arity}")
+        if dangling:
             raise ValueError("open-term body has dangling indices")
 
 
 def fill(body: Body, args: tuple[DbTerm, ...]) -> DbTerm:
     """Substitute ``args[k]`` for each Hole(k); plain node substitution."""
-    match body:
-        case Hole(k):
-            return args[k]
-        case Abs(b):
-            return Abs(fill(b, args))
-        case App(l, r):
-            return App(fill(l, args), fill(r, args))
-        case _:
-            return body
+    return rewrite(body, lambda node, _: args[node.index] if type(node) is Hole else node)
 
 
 def reflect1(ot: OpenTerm) -> Binder1:
@@ -166,31 +131,15 @@ def reflect2(ot: OpenTerm) -> Binder2:
     return fn
 
 
-def _holes_for_probe(t: DbTerm, p: ProbeId, k: int) -> Body:
-    match t:
-        case Probe(q) if q == p:
-            return Hole(k)
-        case Abs(b):
-            return Abs(_holes_for_probe(b, p, k))
-        case App(l, r):
-            return App(_holes_for_probe(l, p, k), _holes_for_probe(r, p, k))
-        case _:
-            return t
-
-
 def reify1(fn: Binder1) -> OpenTerm:
     """Recover the open term a syntactic closure denotes.
 
     Inverse of ``reflect1`` up to structural equality.
     """
-    p = fresh_probe()
-    try:
-        body = binder._probed(fn, (p,))
-    except ExoticUse as exc:
-        if p in exc.pids:
-            raise ExoticFunction("closure inspects its argument") from None
-        raise
-    stripped = _holes_for_probe(body, p, 0)
+    (p,), body = binder._session(fn)
+    if body is None:
+        raise ExoticFunction("closure inspects its argument")
+    stripped = replace_probe(body, p, Hole(0))
     leftover = probe_ids(stripped)
     if leftover:
         # the body embeds an enclosing binder's argument; spelling it out
@@ -201,15 +150,13 @@ def reify1(fn: Binder1) -> OpenTerm:
 
 def _fix_hole(body: Body, k: int, value: DbTerm) -> Body:
     """Fill Hole(k) with ``value`` and renumber the remaining hole to 0."""
-    match body:
-        case Hole(j):
-            return value if j == k else Hole(0)
-        case Abs(b):
-            return Abs(_fix_hole(b, k, value))
-        case App(l, r):
-            return App(_fix_hole(l, k, value), _fix_hole(r, k, value))
-        case _:
-            return body
+
+    def leaf(node: Body, depth: int) -> Body:
+        if type(node) is not Hole:
+            return node
+        return value if node.index == k else Hole(0)
+
+    return rewrite(body, leaf)
 
 
 def abstr_oracle2_componentwise(ot: OpenTerm) -> bool:
@@ -347,18 +294,10 @@ def exotic_library(arity: int | None = None) -> list[tuple[str, Callable]]:
 # Textual form: the term grammar extended with (HOLE k).
 
 def to_text(ot: OpenTerm) -> str:
-    def go(t: Body) -> str:
-        match t:
-            case Hole(k):
-                return f"(HOLE {k})"
-            case App(l, r):
-                return f"(APP {go(l)} {go(r)})"
-            case Abs(b):
-                return f"(ABS {go(b)})"
-            case _:
-                return _db_to_text(t)
+    def texts(node: Body, depth: int):
+        return f"(HOLE {node.index})" if type(node) is Hole else _db_text(node, depth)
 
-    return go(ot.body)
+    return _render(ot.body, texts)
 
 
 def from_text(text: str, arity: int = 1) -> OpenTerm:

@@ -5,13 +5,23 @@ Terms are immutable. ``Bnd(i)`` refers to the variable bound by the
 nodes is *dangling*. ``Probe`` is an internal placeholder standing for a
 binder argument while a host closure is being converted to syntax; no
 term observable through a public operation ever contains one.
+
+Every whole-term operation goes through one explicit-stack traversal and
+so has no depth limit. ``walk(t)`` yields ``(node, depth)`` for each node
+in pre-order (parents first, left before right). ``fold(t, leaf, app,
+abs_)`` combines bottom-up: ``leaf(node, depth)`` at each leaf, then
+``app(left, right)`` and ``abs_(body, depth)`` on the children's results;
+``rewrite(t, leaf)`` is the fold that rebuilds App/Abs around new leaves.
+``depth`` counts the ``Abs`` nodes strictly above a node, so ``Bnd(i)`` at
+depth ``d`` dangles exactly when ``i >= d``. Whatever is neither ``App``
+nor ``Abs`` is a leaf, so other layers can add leaves (open-term holes).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 
 class PreconditionViolated(Exception):
@@ -24,6 +34,26 @@ class ParseError(Exception):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
+
+
+class _Inner:
+    """Structural equality and hashing for App and Abs, computed over
+    ``walk``; the dataclass-generated ones recurse on the children.
+    """
+
+    def __eq__(self, other: object):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or _preorder(self) == _preorder(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(_preorder(self)))
+
+
+def _preorder(t: DbTerm) -> list:
+    # leaves and inner-node classes in pre-order; as arities are fixed,
+    # this list determines the tree
+    return [type(n) if type(n) is App or type(n) is Abs else n for n, _ in walk(t)]
 
 
 @dataclass(frozen=True)
@@ -40,8 +70,8 @@ class Var:
     index: int
 
 
-@dataclass(frozen=True)
-class App:
+@dataclass(frozen=True, eq=False)
+class App(_Inner):
     left: "DbTerm"
     right: "DbTerm"
 
@@ -58,8 +88,8 @@ class Bnd:
     index: int
 
 
-@dataclass(frozen=True)
-class Abs:
+@dataclass(frozen=True, eq=False)
+class Abs(_Inner):
     """Nameless binder."""
 
     body: "DbTerm"
@@ -81,20 +111,74 @@ DbTerm = Union[Con, Var, App, Err, Bnd, Abs, Probe]
 ProbeId = int
 
 
+def walk(t: DbTerm) -> Iterator[tuple[DbTerm, int]]:
+    """Every node of ``t`` with its Abs-depth, in pre-order."""
+    cls = type(t)
+    if cls is not App and cls is not Abs:
+        yield t, 0
+        return
+    stack = [(t, 0)]  # right subtrees still to visit
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, depth = pop()
+        while True:  # down the chain of left children and bodies
+            yield node, depth
+            cls = type(node)
+            if cls is App:
+                push((node.right, depth))
+                node = node.left
+            elif cls is Abs:
+                node = node.body
+                depth += 1
+            else:
+                break
+
+
+# markers on fold's stack: combine the children's results of an App or Abs
+_APP, _ABS = object(), object()
+
+
+def fold(t: DbTerm, leaf: Callable, app: Callable, abs_: Callable):
+    """Post-order fold: ``leaf(node, depth)`` at leaves, ``app(l, r)`` and
+    ``abs_(b, depth)`` on the children's results.
+    """
+    cls = type(t)
+    if cls is not App and cls is not Abs:
+        return leaf(t, 0)
+    done: list = []  # results of finished subtrees, left to right
+    stack = [(t, 0)]
+    pop = stack.pop
+    while stack:
+        node, depth = pop()
+        cls = type(node)
+        if cls is App:
+            stack += ((_APP, depth), (node.right, depth), (node.left, depth))
+        elif cls is Abs:
+            stack += ((_ABS, depth), (node.body, depth + 1))
+        elif node is _APP:
+            right = done.pop()
+            done[-1] = app(done[-1], right)
+        elif node is _ABS:
+            done[-1] = abs_(done[-1], depth)
+        else:
+            done.append(leaf(node, depth))
+    return done[0]
+
+
+def rewrite(t: DbTerm, leaf: Callable[[DbTerm, int], DbTerm]) -> DbTerm:
+    """``t`` with every leaf replaced by ``leaf(node, depth)``."""
+    return fold(t, leaf, App, lambda body, depth: Abs(body))
+
+
 def level(i: int, t: DbTerm) -> bool:
     """True iff wrapping ``t`` in ``i`` Abs nodes leaves no dangling index.
 
     Monotone in ``i``: level(i, t) implies level(i + 1, t).
     """
-    match t:
-        case Bnd(j):
-            return j < i
-        case Abs(b):
-            return level(i + 1, b)
-        case App(l, r):
-            return level(i, l) and level(i, r)
-        case _:
-            return True
+    for node, depth in walk(t):
+        if type(node) is Bnd and node.index >= i + depth:
+            return False
+    return True
 
 
 def proper(t: DbTerm) -> bool:
@@ -104,13 +188,7 @@ def proper(t: DbTerm) -> bool:
 
 def size(t: DbTerm) -> int:
     """Node count."""
-    match t:
-        case App(l, r):
-            return 1 + size(l) + size(r)
-        case Abs(b):
-            return 1 + size(b)
-        case _:
-            return 1
+    return sum(1 for _ in walk(t))
 
 
 def instantiate(t: DbTerm, j: int, u: DbTerm) -> DbTerm:
@@ -123,18 +201,10 @@ def instantiate(t: DbTerm, j: int, u: DbTerm) -> DbTerm:
     if not proper(u):
         raise PreconditionViolated("instantiate: replacement has dangling indices")
 
-    def go(t: DbTerm, j: int) -> DbTerm:
-        match t:
-            case Bnd(k):
-                return u if k == j else t
-            case Abs(b):
-                return Abs(go(b, j + 1))
-            case App(l, r):
-                return App(go(l, j), go(r, j))
-            case _:
-                return t
+    def leaf(node: DbTerm, depth: int) -> DbTerm:
+        return u if type(node) is Bnd and node.index == j + depth else node
 
-    return go(t, j)
+    return rewrite(t, leaf)
 
 
 _probe_counter = itertools.count()
@@ -151,47 +221,25 @@ def fresh_probe() -> ProbeId:
 
 def bind_probe(t: DbTerm, p: ProbeId, i: int) -> DbTerm:
     """Turn Probe(p) at Abs-depth k into Bnd(i+k); leave everything else."""
-    match t:
-        case Probe(q) if q == p:
-            return Bnd(i)
-        case Abs(b):
-            return Abs(bind_probe(b, p, i + 1))
-        case App(l, r):
-            return App(bind_probe(l, p, i), bind_probe(r, p, i))
-        case _:
-            return t
+
+    def leaf(node: DbTerm, depth: int) -> DbTerm:
+        return Bnd(i + depth) if type(node) is Probe and node.pid == p else node
+
+    return rewrite(t, leaf)
 
 
 def replace_probe(t: DbTerm, p: ProbeId, u: DbTerm) -> DbTerm:
     """Plain node substitution of ``u`` for Probe(p); no depth accounting."""
-    match t:
-        case Probe(q) if q == p:
-            return u
-        case Abs(b):
-            return Abs(replace_probe(b, p, u))
-        case App(l, r):
-            return App(replace_probe(l, p, u), replace_probe(r, p, u))
-        case _:
-            return t
+
+    def leaf(node: DbTerm, depth: int) -> DbTerm:
+        return u if type(node) is Probe and node.pid == p else node
+
+    return rewrite(t, leaf)
 
 
 def probe_ids(t: DbTerm) -> frozenset[ProbeId]:
     """All probe ids occurring in ``t``."""
-    found: set[ProbeId] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        match node:
-            case Probe(q):
-                found.add(q)
-            case Abs(b):
-                stack.append(b)
-            case App(l, r):
-                stack.append(l)
-                stack.append(r)
-            case _:
-                pass
-    return frozenset(found)
+    return frozenset(node.pid for node, _ in walk(t) if type(node) is Probe)
 
 
 def contains_probe(t: DbTerm, p: ProbeId) -> bool:
@@ -206,23 +254,52 @@ def contains_any_probe(t: DbTerm) -> bool:
 # Canonical textual form: (CON name) | (VAR n) | (APP t u) | ERR | (BND i)
 # | (ABS t).  Probes have no textual form.
 
+def _render(t: DbTerm, texts: Callable) -> str:
+    """Print ``t`` in one walk. ``texts(node, depth)`` gives a leaf's text,
+    or the strings written around the children of an App (before, between,
+    after) or of an Abs (before, after).
+    """
+    out: list[str] = []
+    owed: list = []  # strings due once the current subtree ends; None: stop
+    for node, depth in walk(t):
+        piece = texts(node, depth)
+        if type(piece) is str:
+            out.append(piece)
+            while owed:
+                text = owed.pop()
+                if text is None:  # a right sibling follows
+                    break
+                out.append(text)
+        else:
+            out.append(piece[0])
+            if type(node) is App:
+                owed += (piece[2], None, piece[1])
+            else:
+                owed.append(piece[1])
+    return "".join(out)
+
+
+def _db_text(node: DbTerm, depth: int):
+    cls = type(node)
+    if cls is App:
+        return ("(APP ", " ", ")")
+    if cls is Abs:
+        return ("(ABS ", ")")
+    if cls is Con:
+        return f"(CON {node.name})"
+    if cls is Var:
+        return f"(VAR {node.index})"
+    if cls is Err:
+        return "ERR"
+    if cls is Bnd:
+        return f"(BND {node.index})"
+    if cls is Probe:
+        raise ValueError("probe nodes have no textual form")
+    raise TypeError(f"not a term: {node!r}")
+
+
 def to_text(t: DbTerm) -> str:
-    match t:
-        case Con(name):
-            return f"(CON {name})"
-        case Var(n):
-            return f"(VAR {n})"
-        case App(l, r):
-            return f"(APP {to_text(l)} {to_text(r)})"
-        case Err():
-            return "ERR"
-        case Bnd(i):
-            return f"(BND {i})"
-        case Abs(b):
-            return f"(ABS {to_text(b)})"
-        case Probe(_):
-            raise ValueError("probe nodes have no textual form")
-    raise TypeError(f"not a term: {t!r}")
+    return _render(t, _db_text)
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -262,17 +339,6 @@ def _parse_sexpr(tokens: list[tuple[str, int]], i: int,
 
     ``make_hole`` enables the (HOLE k) extension used for open terms.
     """
-    if i >= len(tokens):
-        raise ParseError("unexpected end of input", len(tokens))
-    tok, pos = tokens[i]
-    if tok == "ERR":
-        return Err(), i + 1
-    if tok != "(":
-        raise ParseError(f"expected '(' or ERR, got {tok!r}", pos)
-    if i + 1 >= len(tokens):
-        raise ParseError("unexpected end of input after '('", pos)
-    head, head_pos = tokens[i + 1]
-    i += 2
 
     def expect_close(i: int):
         if i >= len(tokens) or tokens[i][0] != ")":
@@ -280,34 +346,48 @@ def _parse_sexpr(tokens: list[tuple[str, int]], i: int,
                              tokens[i][1] if i < len(tokens) else len(tokens))
         return i + 1
 
-    def next_atom(i: int) -> tuple[str, int, int]:
+    leaves = {"CON": lambda tok, p: Con(_parse_con_name(tok, p)),
+              "VAR": lambda tok, p: Var(_parse_nat(tok, p)),
+              "BND": lambda tok, p: Bnd(_parse_nat(tok, p))}
+    if make_hole is not None:
+        leaves["HOLE"] = lambda tok, p: make_hole(_parse_nat(tok, p))
+    open_nodes: list[tuple[str, list]] = []  # (APP or ABS, children so far)
+    while True:
         if i >= len(tokens):
             raise ParseError("unexpected end of input", len(tokens))
-        t, p = tokens[i]
-        if t in "()":
-            raise ParseError(f"expected an atom, got {t!r}", p)
-        return t, p, i + 1
-
-    if head == "CON":
-        name, p, i = next_atom(i)
-        return Con(_parse_con_name(name, p)), expect_close(i)
-    if head == "VAR":
-        tok, p, i = next_atom(i)
-        return Var(_parse_nat(tok, p)), expect_close(i)
-    if head == "BND":
-        tok, p, i = next_atom(i)
-        return Bnd(_parse_nat(tok, p)), expect_close(i)
-    if head == "APP":
-        l, i = _parse_sexpr(tokens, i, make_hole)
-        r, i = _parse_sexpr(tokens, i, make_hole)
-        return App(l, r), expect_close(i)
-    if head == "ABS":
-        b, i = _parse_sexpr(tokens, i, make_hole)
-        return Abs(b), expect_close(i)
-    if head == "HOLE" and make_hole is not None:
-        tok, p, i = next_atom(i)
-        return make_hole(_parse_nat(tok, p)), expect_close(i)
-    raise ParseError(f"unknown term head {head!r}", head_pos)
+        tok, pos = tokens[i]
+        if tok == "ERR":
+            node, i = Err(), i + 1
+        elif tok != "(":
+            raise ParseError(f"expected '(' or ERR, got {tok!r}", pos)
+        elif i + 1 >= len(tokens):
+            raise ParseError("unexpected end of input after '('", pos)
+        else:
+            head, head_pos = tokens[i + 1]
+            i += 2
+            if head in ("APP", "ABS"):
+                open_nodes.append((head, []))
+                continue
+            if head not in leaves:
+                raise ParseError(f"unknown term head {head!r}", head_pos)
+            if i >= len(tokens):
+                raise ParseError("unexpected end of input", len(tokens))
+            tok, pos = tokens[i]
+            if tok in "()":
+                raise ParseError(f"expected an atom, got {tok!r}", pos)
+            node, i = leaves[head](tok, pos), expect_close(i + 1)
+        # a term is complete: hand it to the innermost open node, closing
+        # every node that now has all its children
+        while open_nodes:
+            head, children = open_nodes[-1]
+            children.append(node)
+            if head == "APP" and len(children) < 2:
+                break
+            open_nodes.pop()
+            node = App(*children) if head == "APP" else Abs(children[0])
+            i = expect_close(i)
+        else:
+            return node, i
 
 
 def from_text(text: str) -> DbTerm:

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import hobind
 import hobind.laws as laws_mod
 from hobind.cli import main
 
@@ -51,6 +56,24 @@ class TestEncode:
         )
         assert code == 0
         assert out.strip() == "(APP (CON l) (ABS (BND 0)))"
+
+
+class TestTooDeep:
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 600 + "#0" + ")" * 600, "fn x. " * 2000 + "x"],
+        ids=["parentheses", "binders"],
+    )
+    def test_encode_exits_3_without_traceback(self, text):
+        src = os.path.dirname(os.path.dirname(hobind.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", "from hobind.cli import run; run()",
+             "encode", "-e", text],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 3
+        assert done.stderr == "error: input nests too deeply\n"
 
 
 class TestDecode:

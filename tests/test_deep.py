@@ -1,0 +1,224 @@
+"""Whole-term operations on terms 10^5 deep, at the default recursion limit.
+
+Three shapes: a left application spine, nested binders and a Church
+numeral body. Each is a closed term ``ABS inner`` whose ``inner`` uses
+the outermost binder. ``decode`` and ``hobind decode`` get the same
+shapes encoded (``fn f. f #0 #1 ...``, ``fn x1. ... fn xn. x1 xn``,
+``fn f. fn x. f (f ... x)``). All inputs are built as de Bruijn trees
+directly: the named-term parser and ``encode`` recurse in the host.
+"""
+
+from functools import cached_property
+
+import pytest
+
+from hobind import openterm
+from hobind.binder import LAM, AppCase, LamCase, classify
+from hobind.cli import main
+from hobind.expr import APP, VAR, VLam, cases, expr_equal, from_db, pretty, to_db
+from hobind.named_lambda import NApp, NFree, NLam, NVar, decode
+from hobind.openterm import Hole, OpenTerm, reflect1, reify1
+from hobind.terms import (
+    Abs,
+    App,
+    Bnd,
+    Con,
+    Probe,
+    Var,
+    bind_probe,
+    fresh_probe,
+    from_text,
+    instantiate,
+    level,
+    probe_ids,
+    proper,
+    replace_probe,
+    size,
+    to_text,
+)
+
+DEPTH = 10**5
+CAPP, CLAM = Con("c_app"), Con("c_lam")
+
+
+def enc_app(left, right):
+    return App(App(CAPP, left), right)
+
+
+def enc_lam(body):
+    return App(CLAM, Abs(body))
+
+
+# Each builds the ``inner`` of a shape from n steps; ``x(d)`` is the leaf
+# for the outermost binder's variable under d binders of ``inner``.
+
+def spine(n, app, lam, x):
+    body, args = x(0), (Var(0), Var(1), Var(2))
+    for k in range(n):
+        body = app(body, args[k % 3])
+    return body
+
+
+def nested(n, app, lam, x):
+    body = app(x(n - 1), Bnd(0))
+    for _ in range(n - 1):
+        body = lam(body)
+    return body
+
+
+def numeral(n, app, lam, x):
+    body, f = Bnd(0), x(1)
+    for _ in range(n):
+        body = app(f, body)
+    return lam(body)
+
+
+SHAPES = {"spine": spine, "nested": nested, "numeral": numeral}
+
+
+def count_nodes(t):
+    n, stack = 0, [t]
+    while stack:
+        node = stack.pop()
+        n += 1
+        if type(node) is App:
+            stack += (node.left, node.right)
+        elif type(node) is Abs:
+            stack.append(node.body)
+    return n
+
+
+class Shape:
+    """``term`` is ``ABS inner``; ``probed`` and ``ot`` are ``inner`` with
+    the outer binder's variable replaced by a probe and by a hole.
+    """
+
+    def __init__(self, name):
+        self.name = name
+        self.make = SHAPES[name]
+        self.inner = self.make(DEPTH, App, Abs, Bnd)
+        self.term = Abs(self.inner)
+        self.pid = fresh_probe()
+        self.probed = self.make(DEPTH, App, Abs, lambda d: Probe(self.pid))
+
+    @cached_property
+    def ot(self):
+        return OpenTerm(1, self.make(DEPTH, App, Abs, lambda d: Hole(0)))
+
+    @cached_property
+    def encoded(self):
+        # an encoded App nests its left argument two levels deeper
+        steps = DEPTH if self.name == "numeral" else DEPTH // 2
+        return steps, enc_lam(self.make(steps, enc_app, enc_lam, Bnd))
+
+
+@pytest.fixture(scope="module", params=sorted(SHAPES))
+def shape(request):
+    return Shape(request.param)
+
+
+def test_text_round_trip(shape):
+    text = to_text(shape.term)
+    assert text.count("(") == count_nodes(shape.term)
+    assert from_text(text) == shape.term
+
+
+def test_db_round_trip(shape):
+    assert to_db(from_db(shape.term)) == shape.term
+
+
+def test_level_and_proper(shape):
+    assert proper(shape.term)
+    assert not proper(shape.inner)
+    assert level(1, shape.inner)
+
+
+def test_size(shape):
+    assert size(shape.term) == count_nodes(shape.term)
+
+
+def test_probe_plumbing(shape):
+    assert probe_ids(shape.probed) == {shape.pid}
+    assert bind_probe(shape.probed, shape.pid, 0) == shape.inner
+    assert replace_probe(shape.probed, shape.pid, Var(7)) == instantiate(
+        shape.inner, 0, Var(7)
+    )
+
+
+def test_equality_and_hash(shape):
+    copy = from_db(Abs(shape.make(DEPTH, App, Abs, Bnd)))
+    assert expr_equal(from_db(shape.term), copy)
+    assert hash(from_db(shape.term)) == hash(copy)
+    a = from_db(Abs(instantiate(shape.inner, 0, Var(1))))
+    b = from_db(Abs(instantiate(shape.inner, 0, Var(2))))
+    assert not expr_equal(a, b)
+
+
+def test_pretty(shape):
+    text = pretty(from_db(shape.term))
+    assert text.startswith("LAM x1. ")
+    assert text.count(" $$ ") == to_text(shape.term).count("(APP ")
+
+
+def test_cases_opens_the_binder(shape):
+    view = cases(from_db(shape.term))
+    assert isinstance(view, VLam)
+    assert to_db(view.binder(VAR(5))) == instantiate(shape.inner, 0, Var(5))
+
+
+def test_decode(shape):
+    steps, encoded = shape.encoded
+    named = decode(from_db(encoded))
+    assert isinstance(named, NLam) and named.name == "x1"
+    if shape.name == "spine":
+        t = named.body
+        for k in reversed(range(steps)):
+            assert t.right == NFree(k % 3)
+            t = t.left
+        assert t == NVar("x1")
+    elif shape.name == "nested":
+        t = named
+        for k in range(1, steps + 1):
+            assert t.name == f"x{k}"
+            t = t.body
+        assert t == NApp(NVar("x1"), NVar(f"x{steps}"))
+    else:
+        t = named.body.body
+        for _ in range(steps):
+            assert t.left == NVar("x1")
+            t = t.right
+        assert t == NVar("x2")
+
+
+def test_openterm_text_round_trip(shape):
+    text = openterm.to_text(shape.ot)
+    assert "(HOLE 0)" in text
+    assert openterm.from_text(text) == shape.ot
+
+
+def test_reflect_and_reify(shape):
+    fn = reflect1(shape.ot)
+    assert to_db(fn(VAR(3))) == instantiate(shape.inner, 0, Var(3))
+    assert reify1(fn) == shape.ot
+
+
+def test_binding_a_deep_body(shape):
+    fn = reflect1(shape.ot)
+    assert to_db(LAM(fn)) == shape.term
+    assert isinstance(classify(fn), AppCase if shape.name == "spine" else LamCase)
+
+
+def test_cli_show_and_decode(shape, capsys):
+    assert main(["show", "-e", to_text(shape.term)]) == 0
+    assert capsys.readouterr().out.startswith("LAM x1. ")
+    assert main(["decode", "-e", to_text(shape.encoded[1])]) == 0
+    assert capsys.readouterr().out.startswith("fn x1. ")
+
+
+def test_deeply_nested_closures_fail_cleanly():
+    def nest(n):
+        return VAR(0) if n == 0 else LAM(lambda x: APP(x, nest(n - 1)))
+
+    with pytest.raises(RecursionError):
+        nest(2000)
+    assert to_db(LAM(lambda x: APP(x, VAR(0)))) == Abs(App(Bnd(0), Var(0)))
