@@ -39,13 +39,15 @@ class ExoticUse(BaseException):
 
     ``pids`` holds the probe ids found in the inspected term, so an
     enclosing binding operation can tell its own argument from an outer
-    one. Derives from BaseException so a broad ``except Exception``
-    inside a closure does not silently swallow the opacity signal.
+    one; ``op`` names the inspecting operation. Derives from BaseException
+    so a broad ``except Exception`` inside a closure does not silently
+    swallow the opacity signal.
     """
 
     def __init__(self, pids: frozenset[ProbeId], op: str):
         super().__init__(f"opaque binder argument inspected via {op}")
         self.pids = frozenset(pids)
+        self.op = op
 
 
 class Expr:
@@ -58,9 +60,9 @@ class Expr:
     __slots__ = ("_t", "_pids")
 
     def __init__(self, t: DbTerm):
-        assert level(0, t), "internal: dangling index in proper-term wrapper"
+        assert t.lvl == 0, "internal: dangling index in proper-term wrapper"
         self._t = t
-        self._pids = probe_ids(t)
+        self._pids = t.pids
 
     def __eq__(self, other: object):
         if not isinstance(other, Expr):

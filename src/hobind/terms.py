@@ -11,16 +11,36 @@ so has no depth limit. ``walk(t)`` yields ``(node, depth)`` for each node
 in pre-order (parents first, left before right). ``fold(t, leaf, app,
 abs_)`` combines bottom-up: ``leaf(node, depth)`` at each leaf, then
 ``app(left, right)`` and ``abs_(body, depth)`` on the children's results;
-``rewrite(t, leaf)`` is the fold that rebuilds App/Abs around new leaves.
-``depth`` counts the ``Abs`` nodes strictly above a node, so ``Bnd(i)`` at
-depth ``d`` dangles exactly when ``i >= d``. Whatever is neither ``App``
-nor ``Abs`` is a leaf, so other layers can add leaves (open-term holes).
+``rewrite(t, leaf, keep)`` is the fold that rebuilds App/Abs around new
+leaves. ``depth`` counts the ``Abs`` nodes strictly above a node, so
+``Bnd(i)`` at depth ``d`` dangles exactly when ``i >= d``. Whatever is
+neither ``App`` nor ``Abs`` is a leaf, so other layers can add leaves
+(open-term holes).
+
+Every node class here carries two cached fields, which ``App`` and
+``Abs`` compute from their children when built, in O(1):
+
+- ``lvl``, the closing level: the largest dangling index plus one, so
+  ``level(i, t)`` is ``t.lvl <= i``. ``Bnd(i)`` has ``i + 1``, ``App``
+  the larger of its children's, ``Abs`` its body's minus one (never
+  below 0), and every other leaf 0.
+- ``pids``, the set of probe ids in the term: ``{pid}`` for a probe,
+  the union of the children's for ``App`` (a child's own set when the
+  other's is empty), the body's for ``Abs``, and one shared empty set
+  for every other leaf.
+
+A leaf added by another layer has neither field; it counts as level 0
+with no probes. ``rewrite`` takes a ``keep`` predicate: an ``App`` or
+``Abs`` for which ``keep(node, depth)`` holds is returned as it is,
+neither walked nor rebuilt. The substitutions keep every subtree whose
+cached fields show it has nothing to replace, so they return ``t``
+itself when it has nothing to replace at all.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
 
@@ -36,10 +56,25 @@ class ParseError(Exception):
         self.position = position
 
 
+_NO_PIDS: frozenset = frozenset()
+
+# App and Abs are frozen: their constructors set fields past the check
+_set = object.__setattr__
+
+
+class _Leaf:
+    """Defaults of the cached fields: closed, no probes."""
+
+    lvl = 0
+    pids = _NO_PIDS
+
+
 class _Inner:
     """Structural equality and hashing for App and Abs, computed over
     ``walk``; the dataclass-generated ones recurse on the children.
     """
+
+    __slots__ = ()
 
     def __eq__(self, other: object):
         if type(other) is not type(self):
@@ -57,46 +92,74 @@ def _preorder(t: DbTerm) -> list:
 
 
 @dataclass(frozen=True)
-class Con:
+class Con(_Leaf):
     """Object-language constant."""
 
     name: str
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Leaf):
     """Free variable, numbered."""
 
     index: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class App(_Inner):
     left: "DbTerm"
     right: "DbTerm"
+    lvl: int = field(init=False, repr=False)
+    pids: frozenset = field(init=False, repr=False)
+
+    def __init__(self, left: "DbTerm", right: "DbTerm"):
+        try:
+            ll, rl, lp, rp = left.lvl, right.lvl, left.pids, right.pids
+        except AttributeError:  # a leaf from another layer
+            ll, rl = getattr(left, "lvl", 0), getattr(right, "lvl", 0)
+            lp, rp = probe_ids(left), probe_ids(right)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "lvl", ll if ll > rl else rl)
+        _set(self, "pids", lp | rp if lp and rp else lp or rp)
 
 
 @dataclass(frozen=True)
-class Err:
+class Err(_Leaf):
     """Placeholder produced when binding a non-syntactic closure."""
 
 
 @dataclass(frozen=True)
-class Bnd:
+class Bnd(_Leaf):
     """Bound variable: back reference into enclosing Abs nodes."""
 
     index: int
 
+    @property
+    def lvl(self) -> int:
+        return self.index + 1
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class Abs(_Inner):
     """Nameless binder."""
 
     body: "DbTerm"
+    lvl: int = field(init=False, repr=False)
+    pids: frozenset = field(init=False, repr=False)
+
+    def __init__(self, body: "DbTerm"):
+        try:
+            lvl, pids = body.lvl, body.pids
+        except AttributeError:  # a leaf from another layer
+            lvl, pids = 0, _NO_PIDS
+        _set(self, "body", body)
+        _set(self, "lvl", lvl - 1 if lvl > 1 else 0)
+        _set(self, "pids", pids)
 
 
 @dataclass(frozen=True)
-class Probe:
+class Probe(_Leaf):
     """Internal: opaque stand-in for a binder argument.
 
     Probes count as placeholders for proper terms, so they are neutral
@@ -104,7 +167,10 @@ class Probe:
     """
 
     pid: int
+    pids: frozenset = field(init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        _set(self, "pids", frozenset((self.pid,)))
 
 DbTerm = Union[Con, Var, App, Err, Bnd, Abs, Probe]
 
@@ -136,11 +202,14 @@ def walk(t: DbTerm) -> Iterator[tuple[DbTerm, int]]:
 
 # markers on fold's stack: combine the children's results of an App or Abs
 _APP, _ABS = object(), object()
+_INNER = (App, Abs)
 
 
-def fold(t: DbTerm, leaf: Callable, app: Callable, abs_: Callable):
+def fold(t: DbTerm, leaf: Callable, app: Callable, abs_: Callable,
+         keep: Optional[Callable[[DbTerm, int], bool]] = None):
     """Post-order fold: ``leaf(node, depth)`` at leaves, ``app(l, r)`` and
-    ``abs_(b, depth)`` on the children's results.
+    ``abs_(b, depth)`` on the children's results. An App or Abs for which
+    ``keep(node, depth)`` holds is not entered: its result is the node.
     """
     cls = type(t)
     if cls is not App and cls is not Abs:
@@ -151,10 +220,15 @@ def fold(t: DbTerm, leaf: Callable, app: Callable, abs_: Callable):
     while stack:
         node, depth = pop()
         cls = type(node)
-        if cls is App:
-            stack += ((_APP, depth), (node.right, depth), (node.left, depth))
-        elif cls is Abs:
-            stack += ((_ABS, depth), (node.body, depth + 1))
+        if cls is App or cls is Abs:
+            if keep is not None and keep(node, depth):
+                done.append(node)
+            elif cls is Abs:
+                stack += ((_ABS, depth), (node.body, depth + 1))
+            elif type(node.left) in _INNER or type(node.right) in _INNER:
+                stack += ((_APP, depth), (node.right, depth), (node.left, depth))
+            else:  # two leaves: combine them at once
+                done.append(app(leaf(node.left, depth), leaf(node.right, depth)))
         elif node is _APP:
             right = done.pop()
             done[-1] = app(done[-1], right)
@@ -165,9 +239,13 @@ def fold(t: DbTerm, leaf: Callable, app: Callable, abs_: Callable):
     return done[0]
 
 
-def rewrite(t: DbTerm, leaf: Callable[[DbTerm, int], DbTerm]) -> DbTerm:
-    """``t`` with every leaf replaced by ``leaf(node, depth)``."""
-    return fold(t, leaf, App, lambda body, depth: Abs(body))
+def rewrite(t: DbTerm, leaf: Callable[[DbTerm, int], DbTerm],
+            keep: Optional[Callable[[DbTerm, int], bool]] = None) -> DbTerm:
+    """``t`` with every leaf replaced by ``leaf(node, depth)``, except in
+    App/Abs subtrees for which ``keep(node, depth)`` holds: those are
+    returned as they are.
+    """
+    return fold(t, leaf, App, lambda body, depth: Abs(body), keep)
 
 
 def level(i: int, t: DbTerm) -> bool:
@@ -175,10 +253,7 @@ def level(i: int, t: DbTerm) -> bool:
 
     Monotone in ``i``: level(i, t) implies level(i + 1, t).
     """
-    for node, depth in walk(t):
-        if type(node) is Bnd and node.index >= i + depth:
-            return False
-    return True
+    return getattr(t, "lvl", 0) <= i
 
 
 def proper(t: DbTerm) -> bool:
@@ -194,7 +269,8 @@ def size(t: DbTerm) -> int:
 def instantiate(t: DbTerm, j: int, u: DbTerm) -> DbTerm:
     """Replace each occurrence of Bnd(j+k) at Abs-depth k in ``t`` by ``u``.
 
-    ``u`` must be proper, so no index shifting is ever required.
+    ``u`` must be proper, so no index shifting is ever required. Subtrees
+    with no such occurrence are shared with ``t``.
     """
     if not level(j + 1, t):
         raise PreconditionViolated(f"instantiate: term is not at level {j + 1}")
@@ -204,7 +280,8 @@ def instantiate(t: DbTerm, j: int, u: DbTerm) -> DbTerm:
     def leaf(node: DbTerm, depth: int) -> DbTerm:
         return u if type(node) is Bnd and node.index == j + depth else node
 
-    return rewrite(t, leaf)
+    # at level j + 1, a subtree at depth k holds Bnd(j+k) iff its level exceeds j + k
+    return rewrite(t, leaf, lambda node, depth: node.lvl <= j + depth)
 
 
 _probe_counter = itertools.count()
@@ -219,13 +296,17 @@ def fresh_probe() -> ProbeId:
     return next(_probe_counter)
 
 
+def _lacks_probe(p: ProbeId) -> Callable[[DbTerm, int], bool]:
+    return lambda node, depth: p not in node.pids
+
+
 def bind_probe(t: DbTerm, p: ProbeId, i: int) -> DbTerm:
     """Turn Probe(p) at Abs-depth k into Bnd(i+k); leave everything else."""
 
     def leaf(node: DbTerm, depth: int) -> DbTerm:
         return Bnd(i + depth) if type(node) is Probe and node.pid == p else node
 
-    return rewrite(t, leaf)
+    return rewrite(t, leaf, _lacks_probe(p))
 
 
 def replace_probe(t: DbTerm, p: ProbeId, u: DbTerm) -> DbTerm:
@@ -234,12 +315,12 @@ def replace_probe(t: DbTerm, p: ProbeId, u: DbTerm) -> DbTerm:
     def leaf(node: DbTerm, depth: int) -> DbTerm:
         return u if type(node) is Probe and node.pid == p else node
 
-    return rewrite(t, leaf)
+    return rewrite(t, leaf, _lacks_probe(p))
 
 
 def probe_ids(t: DbTerm) -> frozenset[ProbeId]:
     """All probe ids occurring in ``t``."""
-    return frozenset(node.pid for node, _ in walk(t) if type(node) is Probe)
+    return getattr(t, "pids", _NO_PIDS)
 
 
 def contains_probe(t: DbTerm, p: ProbeId) -> bool:

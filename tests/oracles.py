@@ -6,7 +6,7 @@ operator, and the substitution walks named terms only.
 """
 
 from hobind.named_lambda import NApp, NFree, NLam, NVar
-from hobind.terms import Abs, App, Bnd, Con, Var
+from hobind.terms import Abs, App, Bnd, Con, Probe, Var
 
 
 def named_to_db(t, c_app="c_app", c_lam="c_lam"):
@@ -44,3 +44,24 @@ def subst_named(t, name, u):
         case NApp(l, r):
             return NApp(subst_named(l, name, u), subst_named(r, name, u))
     raise TypeError(f"not a named term: {t!r}")
+
+
+def closing_level_and_probes(t):
+    """The largest dangling index of ``t`` plus one (0 when none) and the
+    set of its probe ids, by a plain walk over every node.
+
+    Any leaf other than ``Bnd`` and ``Probe`` is closed and probe-free.
+    """
+    top, pids = 0, set()
+    stack = [(t, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if type(node) is App:
+            stack += [(node.left, depth), (node.right, depth)]
+        elif type(node) is Abs:
+            stack.append((node.body, depth + 1))
+        elif type(node) is Bnd:
+            top = max(top, node.index - depth + 1)
+        elif type(node) is Probe:
+            pids.add(node.pid)
+    return top, frozenset(pids)

@@ -20,7 +20,7 @@ from hobind.expr import (
     pretty,
     to_db,
 )
-from hobind.binder import LAM, abstr
+from hobind.binder import LAM, abstr, lbind
 from hobind.terms import (
     Abs,
     App,
@@ -217,3 +217,16 @@ class TestPretty:
         e = Expr(Probe(fresh_probe()))
         assert "opaque" in repr(e)
         assert "Expr[" in repr(VAR(0))
+
+
+def test_exotic_use_names_its_operation():
+    probe = Expr(Probe(fresh_probe()))
+    ops = {
+        "cases": lambda: cases(probe),
+        "expr_equal": lambda: expr_equal(probe, VAR(0)),
+        "lbind": lambda: lbind(0, lambda y: APP(probe, y)),
+    }
+    for op, call in ops.items():
+        with pytest.raises(ExoticUse) as exc:
+            call()
+        assert exc.value.op == op
