@@ -13,6 +13,7 @@ library of deliberately exotic closures.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
@@ -44,10 +45,12 @@ from .terms import (
     Err,
     ParseError,
     Var,
+    _Leaf,
     _db_text,
     _parse_sexpr,
     _render,
     _tokenize,
+    level,
     probe_ids,
     replace_probe,
     rewrite,
@@ -64,7 +67,7 @@ class ExoticFunction(Exception):
 
 
 @dataclass(frozen=True)
-class Hole:
+class Hole(_Leaf):
     """Placeholder for argument ``index`` of the reflected closure."""
 
     index: int
@@ -73,8 +76,8 @@ class Hole:
 Body = Union[DbTerm, Hole]
 
 
-# node kinds an open-term body may hold besides holes and bound indices
-_BODY_KINDS = (App, Abs, Con, Var, Err)
+# node kinds an open-term body may hold besides holes
+_BODY_KINDS = (App, Abs, Con, Var, Err, Bnd)
 
 
 @dataclass(frozen=True)
@@ -87,18 +90,16 @@ class OpenTerm:
     body: Body
 
     def __post_init__(self):
-        holes, dangling = [], False
-        for node, depth in walk(self.body):
+        holes = []
+        for node, _ in walk(self.body):
             cls = type(node)
             if cls is Hole and isinstance(node.index, int) and node.index >= 0:
                 holes.append(node.index)
-            elif cls is Bnd:
-                dangling = dangling or node.index >= depth
             elif cls not in _BODY_KINDS:
                 raise ValueError(f"not an open-term body: {node!r}")
         if holes and max(holes) >= self.arity:
             raise ValueError(f"hole index {max(holes)} outside arity {self.arity}")
-        if dangling:
+        if not level(0, self.body):
             raise ValueError("open-term body has dangling indices")
 
 
@@ -184,13 +185,11 @@ _CONS = (Con("c1"), Con("c2"))
 _MAX_INDEX = 2
 
 
-def _leaves(arity: int, binders: int) -> list[Body]:
-    out: list[Body] = [Hole(k) for k in range(arity)]
-    out.extend(_CONS)
-    out.extend(Var(i) for i in range(_MAX_INDEX))
-    out.append(Err())
-    out.extend(Bnd(j) for j in range(min(binders, _MAX_INDEX)))
-    return out
+@functools.cache
+def _leaves(arity: int, binders: int) -> tuple[Body, ...]:
+    return (*(Hole(k) for k in range(arity)), *_CONS,
+            *(Var(i) for i in range(_MAX_INDEX)), Err(),
+            *(Bnd(j) for j in range(min(binders, _MAX_INDEX))))
 
 
 def enumerate_open_terms(arity: int, max_depth: int) -> Iterator[OpenTerm]:

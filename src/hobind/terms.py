@@ -29,10 +29,10 @@ Every node class here carries two cached fields, which ``App`` and
   other's is empty), the body's for ``Abs``, and one shared empty set
   for every other leaf.
 
-A leaf added by another layer has neither field; it counts as level 0
-with no probes. ``rewrite`` takes a ``keep`` predicate: an ``App`` or
-``Abs`` for which ``keep(node, depth)`` holds is returned as it is,
-neither walked nor rebuilt. The substitutions keep every subtree whose
+A leaf added by another layer (the open-term ``Hole``) derives from
+``_Leaf``, so it counts as level 0 with no probes. ``rewrite`` takes a
+``keep`` predicate: an ``App`` or ``Abs`` for which ``keep(node,
+depth)`` holds is returned as it is, neither walked nor rebuilt. The substitutions keep every subtree whose
 cached fields show it has nothing to replace, so they return ``t``
 itself when it has nothing to replace at all.
 """
@@ -63,7 +63,9 @@ _set = object.__setattr__
 
 
 class _Leaf:
-    """Defaults of the cached fields: closed, no probes."""
+    """Base of every leaf class, here and in other layers: the defaults
+    of the cached fields, closed with no probes.
+    """
 
     lvl = 0
     pids = _NO_PIDS
@@ -113,11 +115,7 @@ class App(_Inner):
     pids: frozenset = field(init=False, repr=False)
 
     def __init__(self, left: "DbTerm", right: "DbTerm"):
-        try:
-            ll, rl, lp, rp = left.lvl, right.lvl, left.pids, right.pids
-        except AttributeError:  # a leaf from another layer
-            ll, rl = getattr(left, "lvl", 0), getattr(right, "lvl", 0)
-            lp, rp = probe_ids(left), probe_ids(right)
+        ll, rl, lp, rp = left.lvl, right.lvl, left.pids, right.pids
         _set(self, "left", left)
         _set(self, "right", right)
         _set(self, "lvl", ll if ll > rl else rl)
@@ -149,13 +147,10 @@ class Abs(_Inner):
     pids: frozenset = field(init=False, repr=False)
 
     def __init__(self, body: "DbTerm"):
-        try:
-            lvl, pids = body.lvl, body.pids
-        except AttributeError:  # a leaf from another layer
-            lvl, pids = 0, _NO_PIDS
+        lvl = body.lvl
         _set(self, "body", body)
         _set(self, "lvl", lvl - 1 if lvl > 1 else 0)
-        _set(self, "pids", pids)
+        _set(self, "pids", body.pids)
 
 
 @dataclass(frozen=True)
@@ -202,7 +197,6 @@ def walk(t: DbTerm) -> Iterator[tuple[DbTerm, int]]:
 
 # markers on fold's stack: combine the children's results of an App or Abs
 _APP, _ABS = object(), object()
-_INNER = (App, Abs)
 
 
 def fold(t: DbTerm, leaf: Callable, app: Callable, abs_: Callable,
@@ -225,10 +219,8 @@ def fold(t: DbTerm, leaf: Callable, app: Callable, abs_: Callable,
                 done.append(node)
             elif cls is Abs:
                 stack += ((_ABS, depth), (node.body, depth + 1))
-            elif type(node.left) in _INNER or type(node.right) in _INNER:
+            else:
                 stack += ((_APP, depth), (node.right, depth), (node.left, depth))
-            else:  # two leaves: combine them at once
-                done.append(app(leaf(node.left, depth), leaf(node.right, depth)))
         elif node is _APP:
             right = done.pop()
             done[-1] = app(done[-1], right)
@@ -253,7 +245,7 @@ def level(i: int, t: DbTerm) -> bool:
 
     Monotone in ``i``: level(i, t) implies level(i + 1, t).
     """
-    return getattr(t, "lvl", 0) <= i
+    return t.lvl <= i
 
 
 def proper(t: DbTerm) -> bool:
@@ -320,7 +312,7 @@ def replace_probe(t: DbTerm, p: ProbeId, u: DbTerm) -> DbTerm:
 
 def probe_ids(t: DbTerm) -> frozenset[ProbeId]:
     """All probe ids occurring in ``t``."""
-    return getattr(t, "pids", _NO_PIDS)
+    return t.pids
 
 
 def contains_probe(t: DbTerm, p: ProbeId) -> bool:
