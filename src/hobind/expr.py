@@ -22,6 +22,7 @@ from .terms import (
     Err,
     ProbeId,
     Var,
+    _ATOM,
     _render,
     instantiate,
     level,
@@ -93,19 +94,11 @@ def _transparent(e: Expr, op: str) -> DbTerm:
     return e._t
 
 
-def _valid_con_name(name: str) -> bool:
-    return (
-        isinstance(name, str)
-        and bool(name)
-        and not any(ch.isspace() for ch in name)
-        and "(" not in name
-        and ")" not in name
-    )
-
-
 def CON(name: str) -> Expr:
-    """Constant."""
-    if not _valid_con_name(name):
+    """Constant. Its name is one atom of the textual form: no whitespace,
+    no parentheses, not empty.
+    """
+    if not isinstance(name, str) or not _ATOM.fullmatch(name):
         raise ValueError(f"bad constant name {name!r}")
     return Expr(Con(name))
 

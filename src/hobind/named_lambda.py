@@ -119,7 +119,7 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
             continue
         if c == "#":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j == i + 1:
                 raise ParseError("expected digits after '#'", i)

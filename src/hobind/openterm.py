@@ -49,7 +49,6 @@ from .terms import (
     _db_text,
     _parse_sexpr,
     _render,
-    _tokenize,
     level,
     probe_ids,
     replace_probe,
@@ -300,10 +299,7 @@ def to_text(ot: OpenTerm) -> str:
 
 
 def from_text(text: str, arity: int = 1) -> OpenTerm:
-    tokens = _tokenize(text)
-    body, i = _parse_sexpr(tokens, 0, make_hole=Hole)
-    if i != len(tokens):
-        raise ParseError("trailing input after term", tokens[i][1])
+    body = _parse_sexpr(text, make_hole=Hole)
     try:
         return OpenTerm(arity, body)
     except ValueError as exc:

@@ -35,11 +35,18 @@ A leaf added by another layer (the open-term ``Hole``) derives from
 depth)`` holds is returned as it is, neither walked nor rebuilt. The substitutions keep every subtree whose
 cached fields show it has nothing to replace, so they return ``t``
 itself when it has nothing to replace at all.
+
+``from_text`` splits the canonical text into tokens with one regular
+expression scan and parses the token list in one loop. Tokens carry no
+positions: the character offset a ``ParseError`` reports is worked out
+only when one is raised, by scanning again up to the offending token
+(``len(text)`` when the input ends too early).
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
@@ -72,8 +79,8 @@ class _Leaf:
 
 
 class _Inner:
-    """Structural equality and hashing for App and Abs, computed over
-    ``walk``; the dataclass-generated ones recurse on the children.
+    """Structural equality and hashing for App and Abs with explicit
+    stacks; the dataclass-generated ones recurse on the children.
     """
 
     __slots__ = ()
@@ -81,7 +88,29 @@ class _Inner:
     def __eq__(self, other: object):
         if type(other) is not type(self):
             return NotImplemented
-        return self is other or _preorder(self) == _preorder(other)
+        # pairs of nodes at the same position; equal trees have equal
+        # cached fields, so a difference there ends the comparison early
+        pairs = [(self, other)]
+        pop, push = pairs.pop, pairs.append
+        while pairs:
+            a, b = pop()
+            if a is b:
+                continue
+            cls = type(a)
+            if cls is not type(b):
+                return False
+            if cls is App:
+                if a.lvl != b.lvl or a.pids != b.pids:
+                    return False
+                push((a.right, b.right))
+                push((a.left, b.left))
+            elif cls is Abs:
+                if a.lvl != b.lvl or a.pids != b.pids:
+                    return False
+                push((a.body, b.body))
+            elif a != b:
+                return False
+        return True
 
     def __hash__(self) -> int:
         return hash(tuple(_preorder(self)))
@@ -195,7 +224,8 @@ def walk(t: DbTerm) -> Iterator[tuple[DbTerm, int]]:
                 break
 
 
-# markers on fold's stack: combine the children's results of an App or Abs
+# markers on fold's stack (combine the children's results of an App or
+# Abs) and on the parser's (an App or Abs still open)
 _APP, _ABS = object(), object()
 
 
@@ -375,98 +405,83 @@ def to_text(t: DbTerm) -> str:
     return _render(t, _db_text)
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
+# a token is a parenthesis or an atom: a maximal run of anything else
+# but whitespace (``\s`` is exactly ``str.isspace``)
+_ATOM = re.compile(r"[^\s()]+")
+_TOKEN = re.compile(r"[()]|" + _ATOM.pattern)
+
+
+def _offset(text: str, k: int) -> int:
+    """Character offset of token ``k`` of ``text``; ``len(text)`` past the end."""
+    for match in itertools.islice(_TOKEN.finditer(text), k, None):
+        return match.start()
+    return len(text)
+
+
+def _parse_sexpr(text: str, make_hole: Optional[Callable[[int], object]] = None):
+    """The one term ``text`` spells; ``make_hole`` enables (HOLE k) leaves."""
+    tokens = _TOKEN.findall(text)
+    n = len(tokens)
+    tokens += (None, None, None)  # a read past the end finds None
+
+    def fail(message: str, k: int):
+        raise ParseError(message, _offset(text, k))
+
+    leaves = {"CON": Con, "VAR": Var, "BND": Bnd, "HOLE": make_hole}
+    stack: list = []  # open nodes: _ABS, or _APP then its finished left child
     i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append((c, i))
-            i += 1
-        else:
-            start = i
-            while i < n and not text[i].isspace() and text[i] not in "()":
-                i += 1
-            tokens.append((text[start:i], start))
-    return tokens
-
-
-def _parse_nat(tok: str, pos: int) -> int:
-    if not tok.isdigit():
-        raise ParseError(f"expected a natural number, got {tok!r}", pos)
-    return int(tok)
-
-
-def _parse_con_name(tok: str, pos: int) -> str:
-    if not tok or tok in "()" or any(ch.isspace() for ch in tok):
-        raise ParseError(f"bad constant name {tok!r}", pos)
-    return tok
-
-
-def _parse_sexpr(tokens: list[tuple[str, int]], i: int,
-                 make_hole: Optional[Callable[[int], object]] = None):
-    """Parse one term starting at token ``i``; returns (node, next index).
-
-    ``make_hole`` enables the (HOLE k) extension used for open terms.
-    """
-
-    def expect_close(i: int):
-        if i >= len(tokens) or tokens[i][0] != ")":
-            raise ParseError("expected ')'",
-                             tokens[i][1] if i < len(tokens) else len(tokens))
-        return i + 1
-
-    leaves = {"CON": lambda tok, p: Con(_parse_con_name(tok, p)),
-              "VAR": lambda tok, p: Var(_parse_nat(tok, p)),
-              "BND": lambda tok, p: Bnd(_parse_nat(tok, p))}
-    if make_hole is not None:
-        leaves["HOLE"] = lambda tok, p: make_hole(_parse_nat(tok, p))
-    open_nodes: list[tuple[str, list]] = []  # (APP or ABS, children so far)
     while True:
-        if i >= len(tokens):
-            raise ParseError("unexpected end of input", len(tokens))
-        tok, pos = tokens[i]
+        tok = tokens[i]
         if tok == "ERR":
-            node, i = Err(), i + 1
+            node = Err()
+            i += 1
         elif tok != "(":
-            raise ParseError(f"expected '(' or ERR, got {tok!r}", pos)
-        elif i + 1 >= len(tokens):
-            raise ParseError("unexpected end of input after '('", pos)
+            fail("unexpected end of input" if tok is None
+                 else f"expected '(' or ERR, got {tok!r}", i)
         else:
-            head, head_pos = tokens[i + 1]
-            i += 2
-            if head in ("APP", "ABS"):
-                open_nodes.append((head, []))
+            head, atom = tokens[i + 1], tokens[i + 2]
+            if head == "APP" or head == "ABS":
+                stack.append(_APP if head == "APP" else _ABS)
+                i += 2
                 continue
-            if head not in leaves:
-                raise ParseError(f"unknown term head {head!r}", head_pos)
-            if i >= len(tokens):
-                raise ParseError("unexpected end of input", len(tokens))
-            tok, pos = tokens[i]
-            if tok in "()":
-                raise ParseError(f"expected an atom, got {tok!r}", pos)
-            node, i = leaves[head](tok, pos), expect_close(i + 1)
+            if head is None:
+                fail("unexpected end of input after '('", i)
+            make = leaves.get(head)
+            if make is None:
+                fail(f"unknown term head {head!r}", i + 1)
+            if atom is None or atom == "(" or atom == ")":
+                fail("unexpected end of input" if atom is None
+                     else f"expected an atom, got {atom!r}", i + 2)
+            if make is not Con:
+                if not atom.isdecimal():
+                    fail(f"expected a natural number, got {atom!r}", i + 2)
+                atom = int(atom)
+            node = make(atom)
+            if tokens[i + 3] != ")":
+                fail("expected ')'", i + 3)
+            i += 4
         # a term is complete: hand it to the innermost open node, closing
         # every node that now has all its children
-        while open_nodes:
-            head, children = open_nodes[-1]
-            children.append(node)
-            if head == "APP" and len(children) < 2:
+        while stack:
+            top = stack[-1]
+            if top is _APP:
+                stack.append(node)
                 break
-            open_nodes.pop()
-            node = App(*children) if head == "APP" else Abs(children[0])
-            i = expect_close(i)
+            stack.pop()
+            if top is _ABS:
+                node = Abs(node)
+            else:  # the left child of an App; its marker lies below it
+                stack.pop()
+                node = App(top, node)
+            if tokens[i] != ")":
+                fail("expected ')'", i)
+            i += 1
         else:
-            return node, i
+            if i != n:
+                fail("trailing input after term", i)
+            return node
 
 
 def from_text(text: str) -> DbTerm:
     """Parse the canonical textual form."""
-    tokens = _tokenize(text)
-    term, i = _parse_sexpr(tokens, 0)
-    if i != len(tokens):
-        raise ParseError("trailing input after term", tokens[i][1])
-    return term
+    return _parse_sexpr(text)

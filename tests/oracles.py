@@ -6,7 +6,7 @@ operator, and the substitution walks named terms only.
 """
 
 from hobind.named_lambda import NApp, NFree, NLam, NVar
-from hobind.terms import Abs, App, Bnd, Con, Probe, Var
+from hobind.terms import Abs, App, Bnd, Con, Err, ParseError, Probe, Var
 
 
 def named_to_db(t, c_app="c_app", c_lam="c_lam"):
@@ -65,3 +65,117 @@ def closing_level_and_probes(t):
         elif type(node) is Probe:
             pids.add(node.pid)
     return top, frozenset(pids)
+
+
+def preorder(t):
+    """The nodes of ``t`` in pre-order, with App and Abs nodes replaced by
+    their classes, by a plain walk: two trees are equal exactly when
+    these lists are.
+    """
+    out, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is App:
+            out.append(App)
+            stack += [node.right, node.left]
+        elif type(node) is Abs:
+            out.append(Abs)
+            stack.append(node.body)
+        else:
+            out.append(node)
+    return out
+
+
+# The canonical-text reader as it was before it scanned with a regular
+# expression: a per-character tokenizer that records every token's offset.
+# Its end-of-input errors report the token count instead of an offset, and
+# non-decimal digits such as "²" pass ``isdigit`` and then make ``int``
+# raise ValueError.
+
+def tokenize_text(text):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "()":
+            tokens.append((c, i))
+            i += 1
+        else:
+            start = i
+            while i < n and not text[i].isspace() and text[i] not in "()":
+                i += 1
+            tokens.append((text[start:i], start))
+    return tokens
+
+
+def _parse_nat(tok, pos):
+    if not tok.isdigit():
+        raise ParseError(f"expected a natural number, got {tok!r}", pos)
+    return int(tok)
+
+
+def _parse_con_name(tok, pos):
+    if not tok or tok in "()" or any(ch.isspace() for ch in tok):
+        raise ParseError(f"bad constant name {tok!r}", pos)
+    return tok
+
+
+def _parse_sexpr(tokens, i, make_hole=None):
+    def expect_close(i):
+        if i >= len(tokens) or tokens[i][0] != ")":
+            raise ParseError("expected ')'",
+                             tokens[i][1] if i < len(tokens) else len(tokens))
+        return i + 1
+
+    leaves = {"CON": lambda tok, p: Con(_parse_con_name(tok, p)),
+              "VAR": lambda tok, p: Var(_parse_nat(tok, p)),
+              "BND": lambda tok, p: Bnd(_parse_nat(tok, p))}
+    if make_hole is not None:
+        leaves["HOLE"] = lambda tok, p: make_hole(_parse_nat(tok, p))
+    open_nodes = []  # (APP or ABS, children so far)
+    while True:
+        if i >= len(tokens):
+            raise ParseError("unexpected end of input", len(tokens))
+        tok, pos = tokens[i]
+        if tok == "ERR":
+            node, i = Err(), i + 1
+        elif tok != "(":
+            raise ParseError(f"expected '(' or ERR, got {tok!r}", pos)
+        elif i + 1 >= len(tokens):
+            raise ParseError("unexpected end of input after '('", pos)
+        else:
+            head, head_pos = tokens[i + 1]
+            i += 2
+            if head in ("APP", "ABS"):
+                open_nodes.append((head, []))
+                continue
+            if head not in leaves:
+                raise ParseError(f"unknown term head {head!r}", head_pos)
+            if i >= len(tokens):
+                raise ParseError("unexpected end of input", len(tokens))
+            tok, pos = tokens[i]
+            if tok in "()":
+                raise ParseError(f"expected an atom, got {tok!r}", pos)
+            node, i = leaves[head](tok, pos), expect_close(i + 1)
+        while open_nodes:
+            head, children = open_nodes[-1]
+            children.append(node)
+            if head == "APP" and len(children) < 2:
+                break
+            open_nodes.pop()
+            node = App(*children) if head == "APP" else Abs(children[0])
+            i = expect_close(i)
+        else:
+            return node, i
+
+
+def parse_text(text, make_hole=None):
+    """The term ``text`` spells, read by the reference reader above."""
+    tokens = tokenize_text(text)
+    term, i = _parse_sexpr(tokens, 0, make_hole)
+    if i != len(tokens):
+        raise ParseError("trailing input after term", tokens[i][1])
+    return term

@@ -183,6 +183,46 @@ class TestSweep:
         assert "first counterexample:" in out
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", [
+        ("decode", "-e", "(VAR ²)"),
+        ("show", "-e", "(BND 1²)"),
+        ("check-abstr", "-e", "(HOLE ²)"),
+        ("encode", "-e", "#²"),
+    ])
+    def test_non_decimal_digits_are_parse_errors(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("parse error: ")
+
+    def test_decimal_digits_of_any_script(self, capsys):
+        code, out, _ = run(capsys, "encode", "-e", "#٣", "--out", "db")
+        assert (code, out) == (0, "(VAR 3)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("show", "-e", "(CON a"),
+        ("decode", "-e", "(APP (CON c_lam) (ABS (BND 0))"),
+        ("show", "-e", "(ABS (BND 0)\n"),
+        ("check-abstr", "-e", "(APP (HOLE 0) "),
+    ])
+    def test_end_of_input_reports_text_length(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.endswith(f"(at offset {len(argv[-1])})\n")
+
+
+@pytest.mark.parametrize("module", ["hobind", "hobind.cli"])
+def test_python_dash_m(module):
+    src = os.path.dirname(os.path.dirname(hobind.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "decode", "-e", "(VAR ²)"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2
+    assert done.stderr == "parse error: expected a natural number, got '²' (at offset 5)\n"
+
+
 class TestUsage:
     def test_missing_input(self, capsys):
         with pytest.raises(SystemExit) as err:

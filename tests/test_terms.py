@@ -3,6 +3,7 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import preorder
 from hobind.terms import (
     Abs,
     App,
@@ -13,6 +14,7 @@ from hobind.terms import (
     PreconditionViolated,
     Probe,
     Var,
+    _Leaf,
     bind_probe,
     contains_any_probe,
     contains_probe,
@@ -239,3 +241,41 @@ class TestText:
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             from_text(bad)
+
+
+class Unreadable(_Leaf):
+    """A leaf that fails the test when compared."""
+
+    def __eq__(self, other):
+        raise AssertionError("compared a leaf the comparison should skip")
+
+    __hash__ = object.__hash__
+
+
+class TestEquality:
+    def test_matches_preorder_exhaustively(self):
+        p = fresh_probe()
+        leaves = LEAVES + [Probe(p)]
+        xs, ys = all_terms(4, leaves), all_terms(4, leaves)
+        keys = [preorder(t) for t in xs]
+        for a, ka in zip(xs, keys):
+            for b, kb in zip(ys, keys):
+                assert (a == b) == (ka == kb)
+                if ka == kb:
+                    assert hash(a) == hash(b)
+
+    @given(term_strategy(), term_strategy())
+    def test_matches_preorder_random(self, a, b):
+        assert (a == b) == (preorder(a) == preorder(b))
+
+    def test_shared_subtrees_are_not_entered(self):
+        shared = Abs(App(Unreadable(), C1))
+        assert App(shared, C2) == App(shared, C2)
+
+    def test_stops_at_the_first_difference(self):
+        assert App(C1, Unreadable()) != App(C2, Unreadable())
+        assert App(Abs(C1), Unreadable()) != App(C1, Unreadable())
+
+    def test_cached_fields_decide_before_children(self):
+        assert App(Unreadable(), Bnd(3)) != App(Unreadable(), Bnd(2))
+        assert Abs(App(Unreadable(), Probe(1))) != Abs(App(Unreadable(), Probe(2)))

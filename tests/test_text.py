@@ -1,0 +1,191 @@
+"""The canonical-text reader against the reference reader in ``oracles``,
+its error offsets, and the constant names it shares with ``CON``.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from hobind import openterm
+from hobind.expr import CON, to_db
+from hobind.openterm import Hole
+from hobind.terms import App, Bnd, Con, Err, ParseError, Var, from_text, to_text
+
+ATOMS = ["APP", "ABS", "CON", "VAR", "BND", "HOLE", "ERR", "0", "1", "12",
+         "x", "c₁", "²", "1²", "٣", "a\xa0b"]
+SEPARATORS = ["", " ", "  ", "\t", "\n", "\xa0", " "]
+
+
+def message(exc):
+    return str(exc).rsplit(" (at offset ", 1)[0]
+
+
+def outcome(parse, text):
+    try:
+        return "term", parse(text)
+    except (ParseError, ValueError) as exc:
+        return exc, None
+
+
+def leaf_texts():
+    return st.sampled_from(["ERR", "(CON a)", "(CON c₁)", "(VAR 0)", "(VAR ٣)",
+                            "(BND 0)", "(BND 12)", "(HOLE 0)", "(HOLE 1)",
+                            "(VAR ²)", "(HOLE 1²)"])
+
+
+def term_texts():
+    return st.recursive(
+        leaf_texts(),
+        lambda sub: st.one_of(
+            st.builds(lambda b: f"(ABS {b})", sub),
+            st.builds(lambda l, r: f"(APP {l} {r})", sub, sub),
+        ),
+        max_leaves=8,
+    )
+
+
+@st.composite
+def token_strings(draw):
+    """Text made of reader tokens and assorted whitespace: either random
+    tokens or a well-formed term, respaced and perhaps cut short.
+    """
+    if draw(st.booleans()):
+        tokens = draw(st.lists(st.sampled_from(["(", ")", *ATOMS]), max_size=12))
+    else:
+        text = draw(term_texts())
+        tokens = text.replace("(", " ( ").replace(")", " ) ").split(" ")
+        tokens = [tok for tok in tokens if tok]
+        tokens = tokens[: draw(st.integers(0, len(tokens)))] if draw(st.booleans()) else tokens
+    out = []
+    for tok in tokens:
+        sep = draw(st.sampled_from(SEPARATORS))
+        # two atoms need a separator to stay two tokens
+        out.append((sep or " ") if out and tok not in "()" and out[-1][-1:] not in "()" else sep)
+        out.append(tok)
+    out.append(draw(st.sampled_from(SEPARATORS)))
+    return "".join(out)
+
+
+def open_body(text):
+    return openterm.from_text(text, arity=2).body
+
+
+def reference_open_body(text):
+    body = oracles.parse_text(text, Hole)
+    try:
+        return openterm.OpenTerm(2, body).body
+    except ValueError as exc:
+        raise ParseError(str(exc), 0) from None
+
+
+@pytest.mark.parametrize("parse,reference", [
+    (from_text, oracles.parse_text),
+    (open_body, reference_open_body),
+], ids=["terms", "openterm"])
+@settings(max_examples=300, deadline=None)
+@given(text=token_strings())
+def test_reader_matches_reference(parse, reference, text):
+    got, term = outcome(parse, text)
+    want, ref_term = outcome(reference, text)
+    if want == "term":
+        assert got == "term" and term == ref_term
+        return
+    assert isinstance(got, ParseError)
+    if type(want) is ValueError:
+        # fixed: a digit that is not decimal ("²") passed the reference's
+        # check and then made int() fail
+        assert message(got).startswith("expected a natural number, got ")
+        return
+    assert message(got) == message(want)
+    if got.position == len(text) and message(got) in ("unexpected end of input",
+                                                      "expected ')'"):
+        # fixed: the reference gave the token count at the end of input
+        assert want.position == len(oracles.tokenize_text(text))
+    else:
+        assert got.position == want.position
+
+
+TRUNCATED = [
+    ("", "unexpected end of input", 0),
+    (" \t\xa0", "unexpected end of input", 3),
+    ("(VAR", "unexpected end of input", 4),
+    ("(CON a", "expected ')'", 6),
+    ("(CON abc  ", "expected ')'", 10),
+    ("(ABS ", "unexpected end of input", 5),
+    ("(APP (CON a)", "unexpected end of input", 12),
+    ("(APP (CON a) (VAR 1)", "expected ')'", 20),
+    ("(ABS (ABS ERR)\n", "expected ')'", 15),
+]
+
+
+@pytest.mark.parametrize("text,expected,offset", TRUNCATED)
+def test_end_of_input_offset_is_text_length(text, expected, offset):
+    for parse in (from_text, openterm.from_text):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert message(err.value) == expected
+        assert err.value.position == offset == len(text)
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("(ABS (HOLE 0)", 13),
+    ("(APP (HOLE 0)", 13),
+    ("(HOLE 0", 7),
+])
+def test_open_term_end_of_input_offset(text, offset):
+    with pytest.raises(ParseError) as err:
+        openterm.from_text(text)
+    assert err.value.position == offset == len(text)
+
+
+@pytest.mark.parametrize("text,expected,offset", [
+    ("(APP (CON a) (VAR 1)) x", "trailing input after term", 22),
+    ("(FOO 1)", "unknown term head 'FOO'", 1),
+    ("(VAR ²)", "expected a natural number, got '²'", 5),
+    ("(BND  1²)", "expected a natural number, got '1²'", 6),
+    ("(CON ))", "expected an atom, got ')'", 5),
+    (")", "expected '(' or ERR, got ')'", 0),
+    ("(", "unexpected end of input after '('", 0),
+    ("(CON a b)", "expected ')'", 7),
+])
+def test_offsets_inside_the_text(text, expected, offset):
+    with pytest.raises(ParseError) as err:
+        from_text(text)
+    assert message(err.value) == expected
+    assert err.value.position == offset
+
+
+def test_decimal_digits_of_any_script():
+    assert from_text("(VAR ٣)") == Var(3)
+    assert from_text("(APP (BND\t١٢) ERR)") == App(Bnd(12), Err())
+
+
+def con_accepts(name):
+    try:
+        return to_db(CON(name)) == Con(name)
+    except ValueError:
+        return False
+
+
+def text_accepts(name):
+    try:
+        return from_text(to_text(Con(name))) == Con(name)
+    except ParseError:
+        return False
+
+
+@pytest.mark.parametrize("name", ["", "a(b", "a)", "a\xa0b", "a ", "a b", "c₁", "ERR", "x"])
+def test_con_and_reader_accept_the_same_names(name):
+    assert con_accepts(name) == text_accepts(name)
+    assert con_accepts(name) == (name in ("c₁", "ERR", "x"))
+
+
+@given(st.text(alphabet="ab()₁² \t\xa0 \n", max_size=5))
+def test_con_and_reader_agree_on_random_names(name):
+    assert con_accepts(name) == text_accepts(name)
+
+
+@pytest.mark.parametrize("name", [3, None, b"a", ["a"]])
+def test_con_rejects_non_strings(name):
+    with pytest.raises(ValueError):
+        CON(name)
