@@ -24,6 +24,7 @@ from .terms import (
     Var,
     _ATOM,
     _render,
+    _setters,
     instantiate,
     level,
     probe_ids,
@@ -162,10 +163,17 @@ class VVar:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class VApp:
     left: Expr
     right: Expr
+
+    def __init__(self, left: Expr, right: Expr):
+        _vapp_left(self, left)
+        _vapp_right(self, right)
+
+
+_vapp_left, _vapp_right = _setters(VApp, "left", "right")
 
 
 @dataclass(frozen=True)
@@ -190,21 +198,22 @@ def cases(e: Expr) -> ExprView:
     rebuilding through the binding operator yields the original term.
     """
     t = _transparent(e, "cases")
-    match t:
-        case Con(name):
-            return VCon(name)
-        case Var(n):
-            return VVar(n)
-        case App(l, r):
-            return VApp(Expr(l), Expr(r))
-        case Err():
-            return VErr()
-        case Abs(b):
+    cls = type(t)
+    if cls is App:
+        return VApp(Expr(t.left), Expr(t.right))
+    if cls is Abs:
+        body = t.body
 
-            def open_body(x: Expr) -> Expr:
-                return Expr(instantiate(b, 0, x._t))
+        def open_body(x: Expr) -> Expr:
+            return Expr(instantiate(body, 0, x._t))
 
-            return VLam(open_body)
+        return VLam(open_body)
+    if cls is Con:
+        return VCon(t.name)
+    if cls is Var:
+        return VVar(t.index)
+    if cls is Err:
+        return VErr()
     raise AssertionError(f"unreachable head in proper term: {t!r}")
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -189,7 +190,11 @@ class _Parser:
                 raise ParseError(f"unbound variable {word!r} (free variables are #n)", at)
             return NVar(word)
         if kind == "free":
-            return NFree(int(word))
+            try:
+                return NFree(int(word))
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"number longer than {sys.get_int_max_str_digits()} digits",
+                                 at + 1) from None
         if kind == "(":
             inner = self.term(bound)
             kind, _, at = self.take()

@@ -47,6 +47,7 @@ from .terms import (
     Var,
     _Leaf,
     _db_text,
+    _leaf_offset,
     _parse_sexpr,
     _render,
     level,
@@ -303,4 +304,17 @@ def from_text(text: str, arity: int = 1) -> OpenTerm:
     try:
         return OpenTerm(arity, body)
     except ValueError as exc:
-        raise ParseError(str(exc), 0) from None
+        raise ParseError(str(exc), _culprit_offset(text, body, arity)) from None
+
+
+def _culprit_offset(text: str, body: Body, arity: int) -> int:
+    """Where ``text`` spells the leaf ``OpenTerm(arity, body)`` rejects:
+    the first hole with the largest index if that is outside ``arity``,
+    else the first dangling ``(BND i)``.
+    """
+    leaves = [(node, depth) for node, depth in walk(body) if type(node) not in (App, Abs)]
+    top = max((node.index for node, _ in leaves if type(node) is Hole), default=-1)
+    m = next(m for m, (node, depth) in enumerate(leaves)
+             if (type(node) is Hole and node.index == top if top >= arity
+                 else type(node) is Bnd and node.index >= depth))
+    return _leaf_offset(text, m)

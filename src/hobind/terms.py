@@ -29,6 +29,11 @@ Every node class here carries two cached fields, which ``App`` and
   other's is empty), the body's for ``Abs``, and one shared empty set
   for every other leaf.
 
+``App``, ``Abs``, ``Bnd`` (``lvl`` in a slot too) and ``Probe`` are frozen
+slots dataclasses whose ``__init__`` stores each field through its slot
+descriptor's setter, bound once at import, bypassing the frozen
+``__setattr__``; assigning to a field still raises ``FrozenInstanceError``.
+
 A leaf added by another layer (the open-term ``Hole``) derives from
 ``_Leaf``, so it counts as level 0 with no probes. ``rewrite`` takes a
 ``keep`` predicate: an ``App`` or ``Abs`` for which ``keep(node,
@@ -47,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
@@ -65,15 +71,13 @@ class ParseError(Exception):
 
 _NO_PIDS: frozenset = frozenset()
 
-# App and Abs are frozen: their constructors set fields past the check
-_set = object.__setattr__
-
 
 class _Leaf:
     """Base of every leaf class, here and in other layers: the defaults
     of the cached fields, closed with no probes.
     """
 
+    __slots__ = ()
     lvl = 0
     pids = _NO_PIDS
 
@@ -122,6 +126,12 @@ def _preorder(t: DbTerm) -> list:
     return [type(n) if type(n) is App or type(n) is Abs else n for n, _ in walk(t)]
 
 
+def _setters(cls: type, *names: str) -> tuple:
+    # the slot descriptors' own setters: they store a field of a frozen
+    # instance without going through the class's __setattr__, which raises
+    return tuple(cls.__dict__[name].__set__ for name in names)
+
+
 @dataclass(frozen=True)
 class Con(_Leaf):
     """Object-language constant."""
@@ -145,10 +155,13 @@ class App(_Inner):
 
     def __init__(self, left: "DbTerm", right: "DbTerm"):
         ll, rl, lp, rp = left.lvl, right.lvl, left.pids, right.pids
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "lvl", ll if ll > rl else rl)
-        _set(self, "pids", lp | rp if lp and rp else lp or rp)
+        _app_left(self, left)
+        _app_right(self, right)
+        _app_lvl(self, ll if ll > rl else rl)
+        _app_pids(self, lp | rp if lp and rp else lp or rp)
+
+
+_app_left, _app_right, _app_lvl, _app_pids = _setters(App, "left", "right", "lvl", "pids")
 
 
 @dataclass(frozen=True)
@@ -156,15 +169,19 @@ class Err(_Leaf):
     """Placeholder produced when binding a non-syntactic closure."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Bnd(_Leaf):
     """Bound variable: back reference into enclosing Abs nodes."""
 
     index: int
+    lvl: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def lvl(self) -> int:
-        return self.index + 1
+    def __init__(self, index: int):
+        _bnd_index(self, index)
+        _bnd_lvl(self, index + 1)
+
+
+_bnd_index, _bnd_lvl = _setters(Bnd, "index", "lvl")
 
 
 @dataclass(frozen=True, eq=False, init=False, slots=True)
@@ -177,12 +194,15 @@ class Abs(_Inner):
 
     def __init__(self, body: "DbTerm"):
         lvl = body.lvl
-        _set(self, "body", body)
-        _set(self, "lvl", lvl - 1 if lvl > 1 else 0)
-        _set(self, "pids", body.pids)
+        _abs_body(self, body)
+        _abs_lvl(self, lvl - 1 if lvl > 1 else 0)
+        _abs_pids(self, body.pids)
 
 
-@dataclass(frozen=True)
+_abs_body, _abs_lvl, _abs_pids = _setters(Abs, "body", "lvl", "pids")
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class Probe(_Leaf):
     """Internal: opaque stand-in for a binder argument.
 
@@ -193,8 +213,13 @@ class Probe(_Leaf):
     pid: int
     pids: frozenset = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        _set(self, "pids", frozenset((self.pid,)))
+    def __init__(self, pid: int):
+        _probe_pid(self, pid)
+        _probe_pids(self, frozenset((pid,)))
+
+
+_probe_pid, _probe_pids = _setters(Probe, "pid", "pids")
+
 
 DbTerm = Union[Con, Var, App, Err, Bnd, Abs, Probe]
 
@@ -203,10 +228,6 @@ ProbeId = int
 
 def walk(t: DbTerm) -> Iterator[tuple[DbTerm, int]]:
     """Every node of ``t`` with its Abs-depth, in pre-order."""
-    cls = type(t)
-    if cls is not App and cls is not Abs:
-        yield t, 0
-        return
     stack = [(t, 0)]  # right subtrees still to visit
     pop, push = stack.pop, stack.append
     while stack:
@@ -224,8 +245,8 @@ def walk(t: DbTerm) -> Iterator[tuple[DbTerm, int]]:
                 break
 
 
-# markers on fold's stack (combine the children's results of an App or
-# Abs) and on the parser's (an App or Abs still open)
+# markers on fold's stack (an App whose right child is being folded, an
+# Abs whose body is) and on the parser's (an App or Abs still open)
 _APP, _ABS = object(), object()
 
 
@@ -235,30 +256,42 @@ def fold(t: DbTerm, leaf: Callable, app: Callable, abs_: Callable,
     ``abs_(b, depth)`` on the children's results. An App or Abs for which
     ``keep(node, depth)`` holds is not entered: its result is the node.
     """
-    cls = type(t)
-    if cls is not App and cls is not Abs:
-        return leaf(t, 0)
-    done: list = []  # results of finished subtrees, left to right
-    stack = [(t, 0)]
-    pop = stack.pop
-    while stack:
-        node, depth = pop()
-        cls = type(node)
-        if cls is App or cls is Abs:
+    # open nodes, innermost last: an App whose left child is being folded,
+    # _APP on top of the left child's result while the right one is, or
+    # _ABS; depth rises and falls with the Abs nodes entered and left
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    node, depth = t, 0
+    while True:
+        while True:  # down the chain of left children and bodies
+            cls = type(node)
+            if cls is not App and cls is not Abs:
+                out = leaf(node, depth)
+                break
             if keep is not None and keep(node, depth):
-                done.append(node)
-            elif cls is Abs:
-                stack += ((_ABS, depth), (node.body, depth + 1))
+                out = node
+                break
+            if cls is App:
+                push(node)
+                node = node.left
             else:
-                stack += ((_APP, depth), (node.right, depth), (node.left, depth))
-        elif node is _APP:
-            right = done.pop()
-            done[-1] = app(done[-1], right)
-        elif node is _ABS:
-            done[-1] = abs_(done[-1], depth)
+                push(_ABS)
+                node = node.body
+                depth += 1
+        while stack:  # up, combining results, until a right child is due
+            top = pop()
+            if top is _APP:
+                out = app(pop(), out)
+            elif top is _ABS:
+                depth -= 1
+                out = abs_(out, depth)
+            else:
+                push(out)
+                push(_APP)
+                node = top.right
+                break
         else:
-            done.append(leaf(node, depth))
-    return done[0]
+            return out
 
 
 def rewrite(t: DbTerm, leaf: Callable[[DbTerm, int], DbTerm],
@@ -411,6 +444,19 @@ _ATOM = re.compile(r"[^\s()]+")
 _TOKEN = re.compile(r"[()]|" + _ATOM.pattern)
 
 
+# one leaf, (HOLE k) included; as leaves are matched whole, the atom of
+# (CON ERR) is not taken for a leaf of its own
+_LEAF = re.compile(r"\(\s*(?:CON|VAR|BND|HOLE)\s+" + _ATOM.pattern
+                   + r"\s*\)|(?<![^\s()])ERR(?![^\s()])")
+
+
+def _leaf_offset(text: str, m: int) -> int:
+    """Character offset of leaf ``m`` (0-based, in the order ``walk``
+    yields leaves) of the term that ``text`` spells without error.
+    """
+    return next(itertools.islice(_LEAF.finditer(text), m, None)).start()
+
+
 def _offset(text: str, k: int) -> int:
     """Character offset of token ``k`` of ``text``; ``len(text)`` past the end."""
     for match in itertools.islice(_TOKEN.finditer(text), k, None):
@@ -455,7 +501,10 @@ def _parse_sexpr(text: str, make_hole: Optional[Callable[[int], object]] = None)
             if make is not Con:
                 if not atom.isdecimal():
                     fail(f"expected a natural number, got {atom!r}", i + 2)
-                atom = int(atom)
+                try:
+                    atom = int(atom)
+                except ValueError:  # more digits than int() converts
+                    fail(f"number longer than {sys.get_int_max_str_digits()} digits", i + 2)
             node = make(atom)
             if tokens[i + 3] != ")":
                 fail("expected ')'", i + 3)

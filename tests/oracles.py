@@ -86,6 +86,33 @@ def preorder(t):
     return out
 
 
+def walk_recursive(t, depth=0):
+    """``(node, Abs-depth)`` for every node of ``t`` in pre-order, by plain
+    recursion.
+    """
+    out = [(t, depth)]
+    if type(t) is App:
+        out += walk_recursive(t.left, depth) + walk_recursive(t.right, depth)
+    elif type(t) is Abs:
+        out += walk_recursive(t.body, depth + 1)
+    return out
+
+
+def fold_recursive(t, leaf, app, abs_, keep=None, depth=0):
+    """The post-order fold of ``terms.fold``, by plain recursion: ``keep``
+    is asked at each App/Abs before its children, and a kept node is its
+    own result.
+    """
+    if type(t) not in (App, Abs):
+        return leaf(t, depth)
+    if keep is not None and keep(t, depth):
+        return t
+    if type(t) is App:
+        left = fold_recursive(t.left, leaf, app, abs_, keep, depth)
+        return app(left, fold_recursive(t.right, leaf, app, abs_, keep, depth))
+    return abs_(fold_recursive(t.body, leaf, app, abs_, keep, depth + 1), depth)
+
+
 # The canonical-text reader as it was before it scanned with a regular
 # expression: a per-character tokenizer that records every token's offset.
 # Its end-of-input errors report the token count instead of an offset, and
@@ -179,3 +206,36 @@ def parse_text(text, make_hole=None):
     if i != len(tokens):
         raise ParseError("trailing input after term", tokens[i][1])
     return term
+
+
+def open_term_error_offset(text, arity):
+    """Where well-formed ``text`` spells the leaf an open term of
+    ``arity`` rejects: the first hole with the largest index if that index
+    is outside ``arity``, else the first dangling ``(BND i)``. Found by
+    scanning the reference tokens with a stack of the open APP/ABS heads.
+    """
+    tokens = tokenize_text(text)
+    holes, dangling = [], []  # (index, offset) and offsets
+    heads, depth, i = [], 0, 0
+    while i < len(tokens):
+        tok, pos = tokens[i]
+        if tok == ")":
+            depth -= heads.pop() == "ABS"
+            i += 1
+        elif tok == "ERR":
+            i += 1
+        elif tokens[i + 1][0] in ("APP", "ABS"):
+            heads.append(tokens[i + 1][0])
+            depth += heads[-1] == "ABS"
+            i += 2
+        else:
+            head, value = tokens[i + 1][0], tokens[i + 2][0]
+            if head == "HOLE":
+                holes.append((int(value), pos))
+            elif head == "BND" and int(value) >= depth:
+                dangling.append(pos)
+            i += 4
+    top = max((k for k, _ in holes), default=-1)
+    if top >= arity:
+        return next(pos for k, pos in holes if k == top)
+    return dangling[0]

@@ -211,6 +211,38 @@ class TestMalformedInput:
         assert err.endswith(f"(at offset {len(argv[-1])})\n")
 
 
+    @pytest.mark.parametrize("argv,offset", [
+        (("check-abstr", "-e", "(APP ERR (HOLE 1))"), 9),
+        (("check-abstr", "-e", "(ABS (BND 1))"), 5),
+    ])
+    def test_open_term_checks_report_the_leaf(self, capsys, argv, offset):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("parse error: ") and err.endswith(f"(at offset {offset})\n")
+
+
+def int_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not int_limit(), reason="this interpreter converts numbers of any length")
+class TestLongNumbers:
+    @pytest.mark.parametrize("command,template,out", [
+        ("decode", "(VAR {})", "#{}"),
+        ("encode", "#{}", "VAR {}"),
+        ("check-abstr", "(APP (HOLE 0) (VAR {}))", "app / abstr: true"),
+    ])
+    def test_limit_and_one_digit_more(self, capsys, command, template, out):
+        number = "1" * int_limit()
+        code, got, _ = run(capsys, command, "-e", template.format(number))
+        assert (code, got) == (0, out.format(number) + "\n")
+        text = template.format(number + "1")
+        code, _, err = run(capsys, command, "-e", text)
+        assert code == 2
+        assert err == (f"parse error: number longer than {int_limit()} digits "
+                       f"(at offset {text.index('1')})\n")
+
+
 @pytest.mark.parametrize("module", ["hobind", "hobind.cli"])
 def test_python_dash_m(module):
     src = os.path.dirname(os.path.dirname(hobind.__file__))

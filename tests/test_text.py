@@ -2,6 +2,8 @@
 its error offsets, and the constant names it shares with ``CON``.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,7 +77,7 @@ def reference_open_body(text):
     try:
         return openterm.OpenTerm(2, body).body
     except ValueError as exc:
-        raise ParseError(str(exc), 0) from None
+        raise ParseError(str(exc), oracles.open_term_error_offset(text, 2)) from None
 
 
 @pytest.mark.parametrize("parse,reference", [
@@ -153,6 +155,51 @@ def test_offsets_inside_the_text(text, expected, offset):
         from_text(text)
     assert message(err.value) == expected
     assert err.value.position == offset
+
+
+@pytest.mark.parametrize("text,expected,offset", [
+    ("(APP ERR (HOLE 1))", "hole index 1 outside arity 1", 9),
+    ("(ABS (BND 1))", "open-term body has dangling indices", 5),
+    ("(BND 0)", "open-term body has dangling indices", 0),
+    ("(APP (HOLE 2) (APP (HOLE 3) (HOLE 3)))", "hole index 3 outside arity 1", 19),
+    ("(APP (BND 0) (HOLE 1))", "hole index 1 outside arity 1", 13),
+    ("(APP (CON ERR) (ABS (APP (BND 0) (ABS\t(BND 2)))))", "open-term body has dangling indices", 38),
+    ("(APP (CON APP) (ABS (BND 0)))  (x", "trailing input after term", 31),
+])
+def test_open_term_check_offsets(text, expected, offset):
+    with pytest.raises(ParseError) as err:
+        openterm.from_text(text)
+    assert message(err.value) == expected
+    assert err.value.position == offset
+
+
+def digits(n):
+    return "1" * n
+
+
+@pytest.fixture
+def limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts numbers of any length")
+    return limit
+
+
+@pytest.mark.parametrize("parse,head", [
+    (from_text, "VAR"), (from_text, "BND"),
+    (openterm.from_text, "VAR"), (openterm.from_text, "BND"), (openterm.from_text, "HOLE"),
+])
+def test_numbers_at_the_conversion_limit(limit, parse, head):
+    # the term read, if any, is rejected later; the trailing token shows
+    # that a number at the limit was read
+    with pytest.raises(ParseError) as err:
+        parse(f"(ABS (APP ERR ({head} {digits(limit)}))) x")
+    assert message(err.value) == "trailing input after term"
+    text = f"(ABS (APP ERR ({head}  {digits(limit + 1)})))"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert message(err.value) == f"number longer than {limit} digits"
+    assert err.value.position == text.index("1")
 
 
 def test_decimal_digits_of_any_script():
