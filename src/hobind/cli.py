@@ -137,12 +137,6 @@ def cmd_encode(text: str, out_form: str, sig: OlSig) -> int:
     return EXIT_OK
 
 
-def cmd_decode(text: str, sig: OlSig) -> int:
-    e = from_db(terms.from_text(text))
-    print(named_lambda.pretty(named_lambda.decode(e, sig)))
-    return EXIT_OK
-
-
 def cmd_show(text: str, out_form: str, sig: OlSig) -> int:
     e = from_db(terms.from_text(text))
     if out_form == "named":
@@ -184,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "encode":
             return cmd_encode(_input_text(args, parser), args.out_form, args.sig)
         if args.command == "decode":
-            return cmd_decode(_input_text(args, parser), args.sig)
+            return cmd_show(_input_text(args, parser), "named", args.sig)
         if args.command == "show":
             return cmd_show(_input_text(args, parser), args.out_form, args.sig)
         if args.command == "check-abstr":
@@ -198,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except RecursionError:
-        # nested LAM closures, the named-term parser and encode recurse in the host
+        # nested LAM closures recurse in the host, and encode nests one per fn
         print("error: input nests too deeply", file=sys.stderr)
         return EXIT_DOMAIN
     raise AssertionError(f"unhandled command {args.command!r}")

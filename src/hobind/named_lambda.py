@@ -11,12 +11,17 @@ are names; free variables are written ``#n`` and map to numbered free
 variables of the term layer, keeping the two kinds of variable visibly
 distinct.
 
+``parse`` reads a text with one regex scan and one loop that keeps the
+open parenthesis groups on an explicit stack, and ``pretty`` prints on
+one too, so neither has a depth limit.
+
 ``encode`` represents an abstraction as ``c_lam $$ LAM(...)`` and an
 application as ``c_app $$ l $$ r``; since every closure it hands to the
 binding operator merely assembles syntax around its argument, every
 encoded binder passes the syntactic-closure check. ``decode`` inverts
 the encoding with display names chosen by binder depth, so round trips
-are exact up to renaming.
+are exact up to renaming. ``encode`` nests one ``LAM`` per ``fn``, so
+it recurses in the host.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Iterator, Union
 
 from .binder import LAM
 from .expr import APP, CON, VAR, Expr, VApp, VLam, cases, expr_equal, to_db
-from .terms import Bnd, Con, DbTerm, ParseError, Var, fold
+from .terms import Bnd, Con, DbTerm, ParseError, Var, _offset, fold
 
 
 class NotInImage(Exception):
@@ -85,7 +90,9 @@ class OlSig:
 
 DEFAULT_SIG = OlSig()
 
-_IDENT = re.compile(r"[a-z][a-z0-9_]*")
+# every token but a stray character; the reader's pattern adds those
+_LEXEME = re.compile(r"[().]|#\d+|[a-z][a-z0-9_]*")
+_TOKEN = re.compile(_LEXEME.pattern + r"|\S")
 
 
 def well_scoped(t: NamedTerm, bound: frozenset[str] = frozenset()) -> bool:
@@ -105,112 +112,73 @@ def well_scoped(t: NamedTerm, bound: frozenset[str] = frozenset()) -> bool:
 # ---------------------------------------------------------------------------
 # Parsing and printing
 
-def _lex(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "().":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c == "#":
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            if j == i + 1:
-                raise ParseError("expected digits after '#'", i)
-            tokens.append(("free", text[i + 1 : j], i))
-            i = j
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = "fn" if word == "fn" else "ident"
-            tokens.append((kind, word, i))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], length: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.length = length
-
-    def peek(self) -> tuple[str, str, int]:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return ("end", "", self.length)
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def term(self, bound: frozenset[str]) -> NamedTerm:
-        kind, _, _ = self.peek()
-        if kind == "fn":
-            self.take()
-            names = []
-            while True:
-                kind, word, at = self.peek()
-                if kind == "ident":
-                    self.take()
-                    names.append(word)
-                elif kind == ".":
-                    if not names:
-                        raise ParseError("expected a binder name after 'fn'", at)
-                    self.take()
-                    break
-                else:
-                    raise ParseError("expected a binder name or '.'", at)
-            body = self.term(bound | set(names))
-            for name in reversed(names):
-                body = NLam(name, body)
-            return body
-        return self.appterm(bound)
-
-    def appterm(self, bound: frozenset[str]) -> NamedTerm:
-        out = self.atom(bound)
-        while self.peek()[0] in ("ident", "free", "("):
-            out = NApp(out, self.atom(bound))
-        return out
-
-    def atom(self, bound: frozenset[str]) -> NamedTerm:
-        kind, word, at = self.take()
-        if kind == "ident":
-            if word not in bound:
-                raise ParseError(f"unbound variable {word!r} (free variables are #n)", at)
-            return NVar(word)
-        if kind == "free":
-            try:
-                return NFree(int(word))
-            except ValueError:  # more digits than int() converts
-                raise ParseError(f"number longer than {sys.get_int_max_str_digits()} digits",
-                                 at + 1) from None
-        if kind == "(":
-            inner = self.term(bound)
-            kind, _, at = self.take()
-            if kind != ")":
-                raise ParseError("expected ')'", at)
-            return inner
-        raise ParseError("expected a term", at)
-
-
 def parse(text: str) -> NamedTerm:
-    parser = _Parser(_lex(text), len(text))
-    out = parser.term(frozenset())
-    kind, _, at = parser.peek()
-    if kind != "end":
-        raise ParseError("trailing input after term", at)
-    return out
+    """The one named term ``text`` spells, read with one regex scan."""
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # the end of input
+
+    def fail(message: str, k: int, shift: int = 0):
+        # a character no token starts with is an error wherever it stands
+        for m in _TOKEN.finditer(text):
+            if not _LEXEME.fullmatch(m[0]):
+                raise ParseError("expected digits after '#'" if m[0] == "#"
+                                 else f"unexpected character {m[0]!r}", m.start())
+        raise ParseError(message, _offset(text, k, _TOKEN) + shift)
+
+    scope: dict[str, int] = {}  # name -> binders of it in scope
+    stack: list = []  # enclosing parenthesis groups, as (names, app)
+    names: list[str] = []  # the innermost group's fn binders, outermost first
+    app = None  # and the application it has built so far
+    i = 0
+    while True:
+        tok = tokens[i]
+        i += 1
+        if tok == "fn" and app is None:
+            first = len(names)
+            while (tok := tokens[i]) != ".":
+                if not "a" <= tok[:1] <= "z" or tok == "fn":
+                    fail("expected a binder name or '.'", i)
+                names.append(tok)
+                scope[tok] = scope.get(tok, 0) + 1
+                i += 1
+            if len(names) == first:
+                fail("expected a binder name after 'fn'", i)
+            i += 1
+            continue
+        if tok == "(":
+            stack.append((names, app))
+            names, app = [], None
+            continue
+        if "a" <= tok[:1] <= "z":
+            if not scope.get(tok):
+                fail(f"unbound variable {tok!r} (free variables are #n)", i - 1)
+            node = NVar(tok)
+        elif tok[:1] == "#":
+            try:
+                node = NFree(int(tok[1:]))
+            except ValueError:  # more digits than int() converts, or a stray "#"
+                fail(f"number longer than {sys.get_int_max_str_digits()} digits", i - 1, 1)
+        else:
+            fail("expected a term", i - 1)
+        # hand the atom to the application; close every group the next
+        # token cannot extend, and hand each to the enclosing application
+        while True:
+            app = node if app is None else NApp(app, node)
+            tok = tokens[i]
+            if tok == "(" or tok[:1] == "#" or "a" <= tok[:1] <= "z" and tok != "fn":
+                break
+            node = app
+            for name in reversed(names):
+                node = NLam(name, node)
+                scope[name] -= 1
+            if not stack:
+                if tok:
+                    fail("trailing input after term", i)
+                return node
+            if tok != ")":
+                fail("expected ')'", i)
+            i += 1
+            names, app = stack.pop()
 
 
 def pretty(t: NamedTerm) -> str:
@@ -273,9 +241,6 @@ def decode(e: Expr, sig: OlSig = DEFAULT_SIG) -> NamedTerm:
     """Inverse of ``encode`` on its image; display names are x1, x2, ...
     by binder depth.
     """
-    capp = Con(sig.c_app)
-    clam = Con(sig.c_lam)
-
     def leaf(node: DbTerm, depth: int):
         if type(node) is Var:
             return NFree(node.index)
@@ -284,10 +249,11 @@ def decode(e: Expr, sig: OlSig = DEFAULT_SIG) -> NamedTerm:
         return node
 
     def app(left, right):
-        if type(right) is _Scope and left == clam and isinstance(right.body, _NAMED):
+        if (type(right) is _Scope and type(left) is Con and left.name == sig.c_lam
+                and isinstance(right.body, _NAMED)):
             return NLam(right.name, right.body)
         if isinstance(right, _NAMED):
-            if left == capp:
+            if type(left) is Con and left.name == sig.c_app:
                 return _AppHead(right)
             if type(left) is _AppHead:
                 return NApp(left.arg, right)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 from . import binder
-from .binder import Binder2, ground_samples
+from .binder import Binder2
 from .expr import (
     APP,
     CON,
@@ -147,35 +147,6 @@ def reify1(fn: Binder1) -> OpenTerm:
         # as a first-order term would inspect it
         raise ExoticUse(leftover, "reify1")
     return OpenTerm(1, stripped)
-
-
-def _fix_hole(body: Body, k: int, value: DbTerm) -> Body:
-    """Fill Hole(k) with ``value`` and renumber the remaining hole to 0."""
-
-    def leaf(node: Body, depth: int) -> Body:
-        if type(node) is not Hole:
-            return node
-        return value if node.index == k else Hole(0)
-
-    return rewrite(body, leaf)
-
-
-def abstr_oracle2_componentwise(ot: OpenTerm) -> bool:
-    """Componentwise criterion computed on the first-order representation:
-    for each hole fixed to every ground instantiation, the remaining slice
-    must be a well-formed one-hole open term.
-    """
-    if ot.arity != 2:
-        raise ArityMismatch(f"expected arity 2, got {ot.arity}")
-    grounds = [to_db(g) for g in ground_samples()]
-    for k in (0, 1):
-        for g in grounds:
-            sliced = _fix_hole(ot.body, k, g)
-            try:
-                OpenTerm(1, sliced)
-            except ValueError:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

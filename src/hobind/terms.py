@@ -457,9 +457,11 @@ def _leaf_offset(text: str, m: int) -> int:
     return next(itertools.islice(_LEAF.finditer(text), m, None)).start()
 
 
-def _offset(text: str, k: int) -> int:
-    """Character offset of token ``k`` of ``text``; ``len(text)`` past the end."""
-    for match in itertools.islice(_TOKEN.finditer(text), k, None):
+def _offset(text: str, k: int, token: re.Pattern = _TOKEN) -> int:
+    """Character offset of token ``k`` of ``text``, as ``token`` splits
+    it; ``len(text)`` past the end.
+    """
+    for match in itertools.islice(token.finditer(text), k, None):
         return match.start()
     return len(text)
 

@@ -58,22 +58,32 @@ class TestEncode:
         assert out.strip() == "(APP (CON l) (ABS (BND 0)))"
 
 
-class TestTooDeep:
-    @pytest.mark.parametrize(
-        "text",
-        ["(" * 600 + "#0" + ")" * 600, "fn x. " * 2000 + "x"],
-        ids=["parentheses", "binders"],
+def run_fresh(*argv):
+    """``hobind argv`` in a fresh interpreter, at the default recursion limit."""
+    src = os.path.dirname(os.path.dirname(hobind.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", "from hobind.cli import run; run()", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
+
+
+class TestTooDeep:
+    # encode nests one LAM per fn
+    @pytest.mark.parametrize("text", ["fn x. " * 2000 + "x"], ids=["binders"])
     def test_encode_exits_3_without_traceback(self, text):
-        src = os.path.dirname(os.path.dirname(hobind.__file__))
-        done = subprocess.run(
-            [sys.executable, "-c", "from hobind.cli import run; run()",
-             "encode", "-e", text],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        done = run_fresh("encode", "-e", text)
         assert done.returncode == 3
         assert done.stderr == "error: input nests too deeply\n"
+
+    def test_encode_reads_deep_parentheses(self):
+        done = run_fresh("encode", "-e", "(" * 600 + "#0" + ")" * 600)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "VAR 0\n", "")
+
+    def test_encode_to_named_reads_deep_binders(self):
+        text = "fn x. " * 2000 + "x"
+        done = run_fresh("encode", "--out", "named", "-e", text)
+        assert (done.returncode, done.stdout, done.stderr) == (0, text + "\n", "")
 
 
 class TestDecode:

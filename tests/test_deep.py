@@ -4,8 +4,9 @@ Three shapes: a left application spine, nested binders and a Church
 numeral body. Each is a closed term ``ABS inner`` whose ``inner`` uses
 the outermost binder. ``decode`` and ``hobind decode`` get the same
 shapes encoded (``fn f. f #0 #1 ...``, ``fn x1. ... fn xn. x1 xn``,
-``fn f. fn x. f (f ... x)``). All inputs are built as de Bruijn trees
-directly: the named-term parser and ``encode`` recurse in the host.
+``fn f. fn x. f (f ... x)``). All these inputs are built as de Bruijn
+trees directly, as ``encode`` recurses in the host. The named-term
+parser does not, and reads nested parentheses and binders of that depth.
 """
 
 from functools import cached_property
@@ -16,7 +17,8 @@ from hobind import openterm
 from hobind.binder import LAM, AppCase, LamCase, classify
 from hobind.cli import main
 from hobind.expr import APP, VAR, VLam, cases, expr_equal, from_db, pretty, to_db
-from hobind.named_lambda import NApp, NFree, NLam, NVar, decode
+from hobind.named_lambda import NApp, NFree, NLam, NVar, decode, parse
+from hobind.named_lambda import pretty as pretty_named
 from hobind.openterm import Hole, OpenTerm, reflect1, reify1
 from hobind.terms import (
     Abs,
@@ -213,6 +215,22 @@ def test_cli_show_and_decode(shape, capsys):
     assert capsys.readouterr().out.startswith("LAM x1. ")
     assert main(["decode", "-e", to_text(shape.encoded[1])]) == 0
     assert capsys.readouterr().out.startswith("fn x1. ")
+
+
+def test_parse_nested_parentheses():
+    assert parse("(" * DEPTH + "#0" + ")" * DEPTH) == NFree(0)
+    text = "#0 (" * (DEPTH - 1) + "#0 #1" + ")" * (DEPTH - 1)  # a right spine
+    assert pretty_named(parse(text)) == text
+
+
+def test_parse_nested_binders_round_trips_through_pretty():
+    text = "fn x. " * DEPTH + "x"
+    t = parse(text)
+    assert pretty_named(t) == text
+    for _ in range(DEPTH):
+        assert type(t) is NLam and t.name == "x"
+        t = t.body
+    assert t == NVar("x")
 
 
 def test_deeply_nested_closures_fail_cleanly():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from oracles import named_to_db, subst_named
 
@@ -52,6 +54,34 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("fn x. (x %)")
         assert err.value.position == 9
+
+    # one row per place the reader raises; a stray character anywhere
+    # comes before a syntax error
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("fn x. x %", "unexpected character '%'", 8),
+            ("fn . x %", "unexpected character '%'", 7),
+            ("#", "expected digits after '#'", 0),
+            ("fn . x", "expected a binder name after 'fn'", 3),
+            ("fn x", "expected a binder name or '.'", 4),
+            ("fn x y #0. x", "expected a binder name or '.'", 7),
+            ("fn x. y", "unbound variable 'y' (free variables are #n)", 6),
+            ("(#0 #1", "expected ')'", 6),
+            ("(fn x. x fn y. y)", "expected ')'", 9),
+            ("", "expected a term", 0),
+            ("fn x. )", "expected a term", 6),
+            ("#0 )", "trailing input after term", 3),
+            ("#0 fn x. x", "trailing input after term", 3),
+            ("#" + "1" * (sys.get_int_max_str_digits() + 1),
+             f"number longer than {sys.get_int_max_str_digits()} digits", 1),
+        ],
+    )
+    def test_error_message_and_offset(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at offset {position})"
+        assert err.value.position == position
 
 
 class TestPretty:

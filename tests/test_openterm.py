@@ -7,7 +7,6 @@ from hobind.openterm import (
     ExoticFunction,
     Hole,
     OpenTerm,
-    abstr_oracle2_componentwise,
     enumerate_db_terms,
     enumerate_open_terms,
     exotic_library,
@@ -85,20 +84,9 @@ class TestReify:
 
 
 class TestComponentwiseOracle:
-    def test_examples(self):
-        assert abstr_oracle2_componentwise(OpenTerm(2, App(Hole(0), Hole(1)))) is True
-        assert (
-            abstr_oracle2_componentwise(OpenTerm(2, Abs(App(Bnd(0), Hole(1))))) is True
-        )
-        assert abstr_oracle2_componentwise(OpenTerm(2, Con("c1"))) is True
-
-    def test_arity_check(self):
-        with pytest.raises(ArityMismatch):
-            abstr_oracle2_componentwise(OpenTerm(1, Hole(0)))
-
     def test_agrees_with_closure_check(self):
         for ot in enumerate_open_terms(2, 3):
-            assert abstr_2(reflect2(ot)) == abstr_oracle2_componentwise(ot)
+            assert abstr_2(reflect2(ot))
 
     def test_slice_families_are_syntactic(self):
         from hobind.binder import ground_samples
