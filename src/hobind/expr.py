@@ -24,6 +24,7 @@ from .terms import (
     Var,
     _ATOM,
     _render,
+    _sealed,
     _setters,
     instantiate,
     level,
@@ -163,6 +164,7 @@ class VVar:
     index: int
 
 
+@_sealed
 @dataclass(frozen=True, init=False, slots=True)
 class VApp:
     left: Expr

@@ -13,15 +13,21 @@ distinct.
 
 ``parse`` reads a text with one regex scan and one loop that keeps the
 open parenthesis groups on an explicit stack, and ``pretty`` prints on
-one too, so neither has a depth limit.
+one too, so neither has a depth limit. Named terms are frozen slots
+dataclasses; equality and hashing of ``NLam``/``NApp``, ``alpha_eq``
+and ``well_scoped`` run on explicit stacks as well.
 
 ``encode`` represents an abstraction as ``c_lam $$ LAM(...)`` and an
 application as ``c_app $$ l $$ r``; since every closure it hands to the
 binding operator merely assembles syntax around its argument, every
-encoded binder passes the syntactic-closure check. ``decode`` inverts
-the encoding with display names chosen by binder depth, so round trips
-are exact up to renaming. ``encode`` nests one ``LAM`` per ``fn``, so
-it recurses in the host.
+encoded binder passes the syntactic-closure check. It makes exactly
+one ``LAM`` call per ``fn`` and builds raw de Bruijn nodes in between:
+an ``Expr`` wraps only what a closure returns, and the whole result.
+Its closures share one environment: each binds its name on entry and
+restores the outer binding on exit. Each ``LAM`` evaluates its closure
+inside the enclosing one, so ``encode`` still recurses in the host.
+``decode`` inverts the encoding with display names chosen by binder
+depth, so round trips are exact up to renaming.
 """
 
 from __future__ import annotations
@@ -34,8 +40,8 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .binder import LAM
-from .expr import APP, CON, VAR, Expr, VApp, VLam, cases, expr_equal, to_db
-from .terms import Bnd, Con, DbTerm, ParseError, Var, _offset, fold
+from .expr import CON, VAR, Expr, VApp, VLam, cases, expr_equal, to_db
+from .terms import App, Bnd, Con, DbTerm, ParseError, Var, _offset, _sealed, _setters, fold
 
 
 class NotInImage(Exception):
@@ -46,30 +52,89 @@ class NotAnAbstraction(Exception):
     """Binder application needs an encoded abstraction."""
 
 
-@dataclass(frozen=True)
+class _Compound:
+    """Structural equality and hashing for NLam and NApp with explicit
+    stacks; the dataclass-generated ones recurse on the children.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]  # nodes at the same position
+        pop, push = pairs.pop, pairs.append
+        while pairs:
+            a, b = pop()
+            if a is b:
+                continue
+            cls = type(a)
+            if cls is not type(b):
+                return False
+            if cls is NApp:
+                push((a.right, b.right))
+                push((a.left, b.left))
+            elif cls is NLam:
+                if a.name != b.name:
+                    return False
+                push((a.body, b.body))
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        # equal terms print alike
+        return hash(pretty(self))
+
+
+@_sealed
+@dataclass(frozen=True, init=False, slots=True)
 class NVar:
     """Occurrence of a named bound variable."""
 
     name: str
 
+    def __init__(self, name: str):
+        _nvar_name(self, name)
 
-@dataclass(frozen=True)
+
+@_sealed
+@dataclass(frozen=True, init=False, slots=True)
 class NFree:
     """Free variable, numbered."""
 
     index: int
 
+    def __init__(self, index: int):
+        _nfree_index(self, index)
 
-@dataclass(frozen=True)
-class NLam:
+
+@_sealed
+@dataclass(frozen=True, eq=False, init=False, slots=True)
+class NLam(_Compound):
     name: str
     body: "NamedTerm"
 
+    def __init__(self, name: str, body: "NamedTerm"):
+        _nlam_name(self, name)
+        _nlam_body(self, body)
 
-@dataclass(frozen=True)
-class NApp:
+
+@_sealed
+@dataclass(frozen=True, eq=False, init=False, slots=True)
+class NApp(_Compound):
     left: "NamedTerm"
     right: "NamedTerm"
+
+    def __init__(self, left: "NamedTerm", right: "NamedTerm"):
+        _napp_left(self, left)
+        _napp_right(self, right)
+
+
+(_nvar_name,) = _setters(NVar, "name")
+(_nfree_index,) = _setters(NFree, "index")
+_nlam_name, _nlam_body = _setters(NLam, "name", "body")
+_napp_left, _napp_right = _setters(NApp, "left", "right")
 
 
 NamedTerm = Union[NVar, NFree, NLam, NApp]
@@ -95,18 +160,42 @@ _LEXEME = re.compile(r"[().]|#\d+|[a-z][a-z0-9_]*")
 _TOKEN = re.compile(_LEXEME.pattern + r"|\S")
 
 
+# on a walk's stack: the end of a binder, whose name lies below it
+_LEAVE = object()
+
+
+def _nameless(t: NamedTerm) -> Iterator:
+    """``t`` in pre-order as ``NLam`` and ``NApp`` for inner nodes, the de
+    Bruijn index of each bound name's occurrence, and the other leaves.
+    """
+    scope: dict[str, list[int]] = {}  # name -> depths of its binders, innermost last
+    depth = 0
+    todo: list = [t]
+    while todo:
+        node = todo.pop()
+        cls = type(node)
+        if node is _LEAVE:
+            scope[todo.pop()].pop()
+            depth -= 1
+        elif cls is NApp:
+            yield NApp
+            todo += (node.right, node.left)
+        elif cls is NLam:
+            yield NLam
+            scope.setdefault(node.name, []).append(depth)
+            depth += 1
+            todo += (node.name, _LEAVE, node.body)
+        elif cls is NVar and scope.get(node.name):
+            yield depth - 1 - scope[node.name][-1]
+        elif cls is NVar or cls is NFree:
+            yield node
+        else:
+            raise TypeError(f"not a named term: {node!r}")
+
+
 def well_scoped(t: NamedTerm, bound: frozenset[str] = frozenset()) -> bool:
     """Every named variable is bound by an enclosing binder."""
-    match t:
-        case NVar(name):
-            return name in bound
-        case NFree(_):
-            return True
-        case NLam(name, body):
-            return well_scoped(body, bound | {name})
-        case NApp(l, r):
-            return well_scoped(l, bound) and well_scoped(r, bound)
-    return False
+    return all(type(x) is not NVar or x.name in bound for x in _nameless(t))
 
 
 # ---------------------------------------------------------------------------
@@ -209,25 +298,42 @@ def pretty(t: NamedTerm) -> str:
 # Encoding and decoding
 
 def encode(t: NamedTerm, sig: OlSig = DEFAULT_SIG) -> Expr:
-    c_app = CON(sig.c_app)
-    c_lam = CON(sig.c_lam)
+    c_app = CON(sig.c_app)._t
+    c_lam = CON(sig.c_lam)._t
+    env: dict[str, DbTerm] = {}  # bound name -> the innermost binder's argument
 
-    def go(t: NamedTerm, env: dict[str, Expr]) -> Expr:
-        match t:
-            case NVar(name):
-                try:
-                    return env[name]
-                except KeyError:
-                    raise ValueError(f"unbound variable {name!r}") from None
-            case NFree(n):
-                return VAR(n)
-            case NApp(l, r):
-                return APP(APP(c_app, go(l, env)), go(r, env))
-            case NLam(name, body):
-                return APP(c_lam, LAM(lambda x: go(body, {**env, name: x})))
+    # raw trees throughout; Expr wraps only what a LAM closure returns,
+    # so every binder body still passes its properness check
+    def go(t: NamedTerm) -> DbTerm:
+        cls = type(t)
+        if cls is NApp:
+            return App(App(c_app, go(t.left)), go(t.right))
+        if cls is NVar:
+            try:
+                return env[t.name]
+            except KeyError:
+                raise ValueError(f"unbound variable {t.name!r}") from None
+        if cls is NFree:
+            return VAR(t.index)._t
+        if cls is NLam:
+            return App(c_lam, LAM(binder(t.name, t.body))._t)
         raise TypeError(f"not a named term: {t!r}")
 
-    return go(t, {})
+    def binder(name: str, body: NamedTerm):
+        def fn(x: Expr) -> Expr:
+            outer = env.get(name)
+            env[name] = x._t
+            try:
+                return Expr(go(body))
+            finally:  # called again by double_eval_check, or left by an exception
+                if outer is None:
+                    del env[name]
+                else:
+                    env[name] = outer
+
+        return fn
+
+    return Expr(go(t))
 
 
 # Besides named terms, ``decode`` folds subtrees to ``c_app $$ arg``
@@ -269,23 +375,11 @@ def alpha_eq(t: NamedTerm, u: NamedTerm) -> bool:
     """Equality up to renaming of bound variables.
 
     Decided directly on named terms by comparing binder depths, with no
-    use of the encoding.
+    use of the encoding. Names no binder binds compare by name.
     """
-
-    def go(a, b, env_a: dict[str, int], env_b: dict[str, int], depth: int) -> bool:
-        match (a, b):
-            case (NVar(x), NVar(y)):
-                return env_a[x] == env_b[y]
-            case (NFree(m), NFree(n)):
-                return m == n
-            case (NLam(x, ba), NLam(y, bb)):
-                return go(ba, bb, {**env_a, x: depth}, {**env_b, y: depth}, depth + 1)
-            case (NApp(la, ra), NApp(lb, rb)):
-                return go(la, lb, env_a, env_b, depth) and go(ra, rb, env_a, env_b, depth)
-            case _:
-                return False
-
-    return go(t, u, {}, {}, 0)
+    # a pre-order of fixed-arity nodes is never a proper prefix of
+    # another, so equal pairs all along mean equal sequences
+    return all(a == b for a, b in zip(_nameless(t), _nameless(u)))
 
 
 def apply_binder(e: Expr, arg: Expr, sig: OlSig = DEFAULT_SIG) -> Expr:

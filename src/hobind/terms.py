@@ -31,8 +31,9 @@ Every node class here carries two cached fields, which ``App`` and
 
 ``App``, ``Abs``, ``Bnd`` (``lvl`` in a slot too) and ``Probe`` are frozen
 slots dataclasses whose ``__init__`` stores each field through its slot
-descriptor's setter, bound once at import, bypassing the frozen
-``__setattr__``; assigning to a field still raises ``FrozenInstanceError``.
+descriptor's setter, bound once at import, bypassing ``__setattr__``.
+``_sealed`` gives them a ``__setattr__`` and ``__delattr__`` that raise
+``FrozenInstanceError`` for every name, field or not.
 
 A leaf added by another layer (the open-term ``Hole``) derives from
 ``_Leaf``, so it counts as level 0 with no probes. ``rewrite`` takes a
@@ -45,7 +46,13 @@ itself when it has nothing to replace at all.
 expression scan and parses the token list in one loop. Tokens carry no
 positions: the character offset a ``ParseError`` reports is worked out
 only when one is raised, by scanning again up to the offending token
-(``len(text)`` when the input ends too early).
+(``len(text)`` when the input ends too early). The reader shares
+leaves: the first ``(CON a)``, ``(VAR n)``, ``(BND i)`` or ``(HOLE k)``
+of a given text is checked and built, and every later one with the
+same head and atom is that node again (every ``ERR`` is one node), so
+``t.left is t.right`` for ``(APP (CON c) (CON c))``. A leaf text that
+is invalid fails at its first occurrence, so messages and offsets are
+those of a reader that builds every leaf.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from __future__ import annotations
 import itertools
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
 
@@ -132,6 +139,20 @@ def _setters(cls: type, *names: str) -> tuple:
     return tuple(cls.__dict__[name].__set__ for name in names)
 
 
+def _refuse(self, name: str, *value):
+    raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+
+def _sealed(cls: type) -> type:
+    """``cls``, a frozen slots dataclass, refusing every assignment and
+    deletion with ``FrozenInstanceError``. The generated ``__setattr__``
+    and ``__delattr__`` raise ``TypeError`` for a name that is not a
+    field, as they refer to the class before slots were added.
+    """
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    return cls
+
+
 @dataclass(frozen=True)
 class Con(_Leaf):
     """Object-language constant."""
@@ -146,6 +167,7 @@ class Var(_Leaf):
     index: int
 
 
+@_sealed
 @dataclass(frozen=True, eq=False, init=False, slots=True)
 class App(_Inner):
     left: "DbTerm"
@@ -169,6 +191,7 @@ class Err(_Leaf):
     """Placeholder produced when binding a non-syntactic closure."""
 
 
+@_sealed
 @dataclass(frozen=True, init=False, slots=True)
 class Bnd(_Leaf):
     """Bound variable: back reference into enclosing Abs nodes."""
@@ -184,6 +207,7 @@ class Bnd(_Leaf):
 _bnd_index, _bnd_lvl = _setters(Bnd, "index", "lvl")
 
 
+@_sealed
 @dataclass(frozen=True, eq=False, init=False, slots=True)
 class Abs(_Inner):
     """Nameless binder."""
@@ -202,6 +226,7 @@ class Abs(_Inner):
 _abs_body, _abs_lvl, _abs_pids = _setters(Abs, "body", "lvl", "pids")
 
 
+@_sealed
 @dataclass(frozen=True, init=False, slots=True)
 class Probe(_Leaf):
     """Internal: opaque stand-in for a binder argument.
@@ -222,6 +247,8 @@ _probe_pid, _probe_pids = _setters(Probe, "pid", "pids")
 
 
 DbTerm = Union[Con, Var, App, Err, Bnd, Abs, Probe]
+
+_ERR = Err()  # the one node the reader builds for every ERR
 
 ProbeId = int
 
@@ -476,12 +503,13 @@ def _parse_sexpr(text: str, make_hole: Optional[Callable[[int], object]] = None)
         raise ParseError(message, _offset(text, k))
 
     leaves = {"CON": Con, "VAR": Var, "BND": Bnd, "HOLE": make_hole}
+    built: dict = {}  # (head, atom) -> the leaf its first occurrence built
     stack: list = []  # open nodes: _ABS, or _APP then its finished left child
     i = 0
     while True:
         tok = tokens[i]
         if tok == "ERR":
-            node = Err()
+            node = _ERR
             i += 1
         elif tok != "(":
             fail("unexpected end of input" if tok is None
@@ -492,22 +520,26 @@ def _parse_sexpr(text: str, make_hole: Optional[Callable[[int], object]] = None)
                 stack.append(_APP if head == "APP" else _ABS)
                 i += 2
                 continue
-            if head is None:
-                fail("unexpected end of input after '('", i)
-            make = leaves.get(head)
-            if make is None:
-                fail(f"unknown term head {head!r}", i + 1)
-            if atom is None or atom == "(" or atom == ")":
-                fail("unexpected end of input" if atom is None
-                     else f"expected an atom, got {atom!r}", i + 2)
-            if make is not Con:
-                if not atom.isdecimal():
+            node = built.get((head, atom))
+            if node is None:  # the first occurrence: check and build
+                if head is None:
+                    fail("unexpected end of input after '('", i)
+                make = leaves.get(head)
+                if make is None:
+                    fail(f"unknown term head {head!r}", i + 1)
+                if atom is None or atom == "(" or atom == ")":
+                    fail("unexpected end of input" if atom is None
+                         else f"expected an atom, got {atom!r}", i + 2)
+                if make is Con:
+                    value = atom
+                elif not atom.isdecimal():
                     fail(f"expected a natural number, got {atom!r}", i + 2)
-                try:
-                    atom = int(atom)
-                except ValueError:  # more digits than int() converts
-                    fail(f"number longer than {sys.get_int_max_str_digits()} digits", i + 2)
-            node = make(atom)
+                else:
+                    try:
+                        value = int(atom)
+                    except ValueError:  # more digits than int() converts
+                        fail(f"number longer than {sys.get_int_max_str_digits()} digits", i + 2)
+                node = built[head, atom] = make(value)
             if tokens[i + 3] != ")":
                 fail("expected ')'", i + 3)
             i += 4

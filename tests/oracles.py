@@ -2,9 +2,13 @@
 
 These deliberately avoid the code paths they are used to verify: the
 converter below builds de Bruijn trees directly, without the binding
-operator, and the substitution walks named terms only.
+operator, and the substitution walks named terms only. ``encode_reference``
+is the one exception: it is ``encode`` as first written, through the
+public constructors, for differential tests of the faster one.
 """
 
+from hobind.binder import LAM
+from hobind.expr import APP, CON, VAR
 from hobind.named_lambda import NApp, NFree, NLam, NVar
 from hobind.terms import Abs, App, Bnd, Con, Err, ParseError, Probe, Var
 
@@ -25,6 +29,30 @@ def named_to_db(t, c_app="c_app", c_lam="c_lam"):
         raise TypeError(f"not a named term: {t!r}")
 
     return go(t, {}, 0)
+
+
+def encode_reference(t, c_app="c_app", c_lam="c_lam"):
+    """The encoding built with APP and VAR around one LAM per binder,
+    each closure extending a copy of its environment.
+    """
+    app, lam = CON(c_app), CON(c_lam)
+
+    def go(t, env):
+        match t:
+            case NVar(name):
+                try:
+                    return env[name]
+                except KeyError:
+                    raise ValueError(f"unbound variable {name!r}") from None
+            case NFree(n):
+                return VAR(n)
+            case NApp(l, r):
+                return APP(APP(app, go(l, env)), go(r, env))
+            case NLam(name, body):
+                return APP(lam, LAM(lambda x: go(body, {**env, name: x})))
+        raise TypeError(f"not a named term: {t!r}")
+
+    return go(t, {})
 
 
 def subst_named(t, name, u):

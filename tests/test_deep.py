@@ -6,7 +6,9 @@ the outermost binder. ``decode`` and ``hobind decode`` get the same
 shapes encoded (``fn f. f #0 #1 ...``, ``fn x1. ... fn xn. x1 xn``,
 ``fn f. fn x. f (f ... x)``). All these inputs are built as de Bruijn
 trees directly, as ``encode`` recurses in the host. The named-term
-parser does not, and reads nested parentheses and binders of that depth.
+parser does not, and reads nested parentheses and binders of that depth;
+named terms of that depth compare, hash and pass ``alpha_eq`` and
+``well_scoped`` too.
 """
 
 from functools import cached_property
@@ -17,7 +19,7 @@ from hobind import openterm
 from hobind.binder import LAM, AppCase, LamCase, classify
 from hobind.cli import main
 from hobind.expr import APP, VAR, VLam, cases, expr_equal, from_db, pretty, to_db
-from hobind.named_lambda import NApp, NFree, NLam, NVar, decode, parse
+from hobind.named_lambda import NApp, NFree, NLam, NVar, alpha_eq, decode, parse, well_scoped
 from hobind.named_lambda import pretty as pretty_named
 from hobind.openterm import Hole, OpenTerm, reflect1, reify1
 from hobind.terms import (
@@ -231,6 +233,34 @@ def test_parse_nested_binders_round_trips_through_pretty():
         assert type(t) is NLam and t.name == "x"
         t = t.body
     assert t == NVar("x")
+
+
+NAMED_SHAPES = {  # text, and the same text with its last leaf changed
+    "binders": ("fn x. " * DEPTH + "x", "fn x. " * DEPTH + "#0"),
+    "left spine": ("fn f. f" + " #0" * DEPTH, "fn f. f" + " #0" * (DEPTH - 1) + " f"),
+    "right spine": ("#0 (" * DEPTH + "#1" + ")" * DEPTH, "#0 (" * DEPTH + "#2" + ")" * DEPTH),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_SHAPES))
+def test_named_equality_hash_and_alpha_eq(name):
+    text, changed = NAMED_SHAPES[name]
+    t, u, v = parse(text), parse(text), parse(changed)
+    assert t == u and hash(t) == hash(u) and alpha_eq(t, u)
+    assert t != v and not alpha_eq(t, v)
+    assert well_scoped(t) and well_scoped(v)
+
+
+def test_named_binders_renamed_and_unbound():
+    t = parse("fn x. " * DEPTH + "x")
+    renamed = parse("fn y. " * DEPTH + "y")
+    assert t != renamed and alpha_eq(t, renamed)
+    outer = parse("fn x. " * (DEPTH - 1) + "fn y. x")  # x names the next binder out
+    assert not alpha_eq(t, outer) and well_scoped(outer)
+    unbound = NVar("z")
+    for _ in range(DEPTH):
+        unbound = NLam("x", unbound)
+    assert not well_scoped(unbound) and well_scoped(unbound, frozenset({"z"}))
 
 
 def test_deeply_nested_closures_fail_cleanly():

@@ -1,6 +1,7 @@
-"""README's "All terms are immutable": no field of a node or of a
-``cases`` view can be assigned, and the nodes built through their slot
-setters print, compare and hash as plain frozen dataclasses do.
+"""README's "All terms are immutable": no attribute of a node, of a
+``cases`` view or of a named term can be assigned or deleted, and the
+nodes built through their slot setters print, compare and hash as plain
+frozen dataclasses do.
 """
 
 import dataclasses
@@ -9,6 +10,7 @@ import pytest
 
 from hobind.binder import LAM
 from hobind.expr import APP, CON, ERR, VAR, VApp, VCon, VErr, VLam, VVar, cases
+from hobind.named_lambda import NApp, NFree, NLam, NVar
 from hobind.openterm import Hole
 from hobind.terms import Abs, App, Bnd, Con, Err, Probe, Var
 from oracles import preorder
@@ -16,25 +18,27 @@ from oracles import preorder
 C = Con("c")
 NODES = [C, Var(2), App(C, Bnd(0)), Err(), Bnd(1), Abs(Bnd(0)), Probe(5), Hole(0)]
 VIEWS = [cases(e) for e in (CON("c"), VAR(1), APP(ERR(), ERR()), ERR(), LAM(lambda x: x))]
+NAMED = [NVar("x"), NFree(1), NLam("x", NVar("x")), NApp(NFree(0), NVar("y"))]
 
 
-@pytest.mark.parametrize("obj", NODES + VIEWS, ids=lambda obj: type(obj).__name__)
+@pytest.mark.parametrize("obj", NODES + VIEWS + NAMED, ids=lambda obj: type(obj).__name__)
 def test_no_field_can_be_assigned(obj):
     before = repr(obj)
-    for f in dataclasses.fields(obj):  # the cached lvl and pids included
+    # the fields (the cached lvl and pids included) and names that are not
+    # fields of every class alike
+    names = {f.name for f in dataclasses.fields(obj)} | {"lvl", "pids", "other"}
+    for name in names:
         with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, f.name, None)
-    # a slots dataclass's frozen __setattr__ raises TypeError for a name
-    # that is not a field (CPython 3.10 to 3.13); either way, nothing is set
-    for name in ("lvl", "pids", "other"):
-        with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
             setattr(obj, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
     assert repr(obj) == before
 
 
 def test_every_class_is_covered():
     assert {type(n) for n in NODES} == {Con, Var, App, Err, Bnd, Abs, Probe, Hole}
     assert {type(v) for v in VIEWS} == {VCon, VVar, VApp, VErr, VLam}
+    assert {type(t) for t in NAMED} == {NVar, NFree, NLam, NApp}
 
 
 @pytest.mark.parametrize("t,text", [
@@ -66,6 +70,26 @@ def test_inner_equality_and_hash_follow_the_preorder(t):
     assert rebuilt == t and rebuilt is not t
     assert hash(t) == hash(tuple(preorder(t))) == hash(rebuilt)
     assert t != Abs(t) and t != C
+
+
+@pytest.mark.parametrize("t,text", [
+    (NVar("x"), "NVar(name='x')"),
+    (NFree(2), "NFree(index=2)"),
+    (NLam("x", NApp(NVar("x"), NFree(0))),
+     "NLam(name='x', body=NApp(left=NVar(name='x'), right=NFree(index=0)))"),
+])
+def test_named_terms_print_as_dataclasses(t, text):
+    assert repr(t) == text
+
+
+def test_named_equality_and_hash():
+    t = NLam("x", NApp(NVar("x"), NFree(0)))
+    u = NLam("x", NApp(NVar("x"), NFree(0)))
+    assert t == u and t is not u and hash(t) == hash(u)
+    assert t != NLam("y", NApp(NVar("y"), NFree(0))) and t != t.body and t != NVar("x")
+    assert NLam("x", NFree(0)) != NLam("y", NFree(0))  # only the binder names differ
+    assert NVar("x") == NVar("x") and hash(NFree(3)) == hash((3,))
+    assert len({t, u, t.body, NApp(NVar("x"), NFree(0))}) == 2
 
 
 def test_match_patterns():

@@ -1,8 +1,10 @@
 import sys
+import threading
 
 import pytest
-from oracles import named_to_db, subst_named
+from oracles import encode_reference, named_to_db, subst_named
 
+from hobind import binder
 from hobind.binder import LAM, abstr
 from hobind.expr import APP, CON, ERR, VAR, cases, expr_equal, to_db, VApp, VLam
 from hobind.named_lambda import (
@@ -147,6 +149,81 @@ class TestEncode:
     def test_sig_requires_distinct_constants(self):
         with pytest.raises(ValueError):
             OlSig(c_app="c", c_lam="c")
+
+
+def differential_terms():
+    yield from enumerate_named_terms(5)
+    for seed in range(1000):
+        yield gen_named_term(12, seed)
+
+
+def nested_binders(n):
+    t = NVar("x")
+    for _ in range(n):
+        t = NLam("x", t)
+    return t
+
+
+def first_failing_depth(encoder):
+    """The least n for which ``encoder`` of n nested ``fn x.`` raises
+    RecursionError, found in a new thread so the caller's stack does not
+    count.
+    """
+    def fits(n):
+        try:
+            encoder(nested_binders(n))
+            return True
+        except RecursionError:
+            return False
+
+    def search():
+        lo, hi = 0, 1  # fits(lo) holds and fits(hi) fails, once hi stops doubling
+        while fits(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        found.append(hi)
+
+    found = []
+    thread = threading.Thread(target=search)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and found
+    return found[0]
+
+
+class TestEncodeAgainstReference:
+    """``encode`` builds raw nodes and shares one environment; the
+    reference builds every node with APP/VAR and copies its environment
+    per binder.
+    """
+
+    def test_same_trees(self):
+        for t in differential_terms():
+            assert to_db(encode(t)) == to_db(encode_reference(t))
+
+    def test_same_trees_with_double_evaluation(self, monkeypatch):
+        monkeypatch.setattr(binder, "double_eval_check", True)
+        for t in differential_terms():
+            assert to_db(encode(t)) == to_db(encode_reference(t))
+
+    def test_a_name_is_unbound_again_after_its_binder(self):
+        t = NLam("x", NApp(NLam("y", NVar("y")), NVar("y")))
+        with pytest.raises(ValueError, match="unbound variable 'y'"):
+            encode(t)
+        # the shadowed outer binding comes back when the inner binder ends
+        t = parse("fn x. (fn x. x) x")
+        assert to_db(encode(t)) == named_to_db(t)
+
+    def test_encoding_goes_on_after_an_unbound_name(self):
+        with pytest.raises(ValueError, match="unbound variable 'z'"):
+            encode(NLam("x", NLam("y", NApp(NVar("x"), NVar("z")))))
+        t = parse(SHOWCASE)
+        assert to_db(encode(t)) == named_to_db(t)
+
+    def test_nests_no_less_deeply(self):
+        assert first_failing_depth(encode) >= first_failing_depth(encode_reference)
 
 
 class TestDecode:

@@ -173,6 +173,53 @@ def test_open_term_check_offsets(text, expected, offset):
     assert err.value.position == offset
 
 
+# the reader builds the first leaf of each text and reuses it after;
+# a leaf that fails, first or repeated, reports as if each were built
+SHARED_LEAF_ERRORS = [
+    ("(APP (VAR 1) (VAR 1 2))", "expected ')'", 20),
+    ("(APP (VAR 1) (VAR x))", "expected a natural number, got 'x'", 18),
+    ("(APP (VAR x) (VAR x))", "expected a natural number, got 'x'", 10),
+    ("(APP (CON c) (APP (CON c) (CON c c)))", "expected ')'", 33),
+    ("(APP (BND 0) (ABS (BND 0 0)))", "expected ')'", 25),
+    ("(APP ERR (APP ERR (ERR)))", "unknown term head 'ERR'", 19),
+]
+
+
+@pytest.mark.parametrize("parse", [from_text, openterm.from_text], ids=["terms", "openterm"])
+@pytest.mark.parametrize("text,expected,offset", SHARED_LEAF_ERRORS)
+def test_shared_leaf_errors(parse, text, expected, offset):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert message(err.value) == expected
+    assert err.value.position == offset
+    with pytest.raises(ParseError) as err:
+        oracles.parse_text(text, Hole)
+    assert (message(err.value), err.value.position) == (expected, offset)
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("(APP (HOLE 0) (HOLE 1))", 14),
+    ("(APP (HOLE 1) (HOLE 1))", 5),
+    ("(APP (HOLE 0) (APP (HOLE 0) (HOLE 1)))", 28),
+])
+def test_shared_hole_outside_arity(text, offset):
+    with pytest.raises(ParseError) as err:
+        openterm.from_text(text, arity=1)
+    assert message(err.value) == "hole index 1 outside arity 1"
+    assert err.value.position == offset == oracles.open_term_error_offset(text, 1)
+
+
+def test_repeated_leaves_are_one_node():
+    t = from_text("(APP (CON c) (CON c))")
+    assert t.left is t.right == Con("c")
+    t = from_text("(APP (APP (VAR 1) ERR) (ABS (APP (VAR 1) ERR)))")
+    assert t.left.left is t.right.body.left and t.left.right is t.right.body.right
+    t = from_text("(APP (VAR 1) (VAR 01))")  # two texts, two nodes
+    assert t.left == t.right and t.left is not t.right
+    t = openterm.from_text("(APP (HOLE 0) (ABS (HOLE 0)))").body
+    assert t.left is t.right.body == Hole(0)
+
+
 def digits(n):
     return "1" * n
 
