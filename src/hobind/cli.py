@@ -33,18 +33,13 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+def _at_least(low: int):
+    def number(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+    return number
 
 
 def _sig(text: str) -> OlSig:
@@ -64,37 +59,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input(p):
+    def add_input(name: str, summary: str, out: bool = False, sig: bool = False):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("-e", "--expr", help="inline input text")
         p.add_argument("file", nargs="?", help="file containing the input")
+        if out:
+            p.add_argument("--out", choices=("named", "hoas", "db"), default="hoas", dest="out_form")
+        if sig:
+            p.add_argument("--sig", type=_sig, default=OlSig(), metavar="C_LAM,C_APP")
 
-    p_encode = sub.add_parser("encode", help="object-language text to a term")
-    add_input(p_encode)
-    p_encode.add_argument(
-        "--out", choices=("named", "hoas", "db"), default="hoas", dest="out_form"
-    )
-    p_encode.add_argument("--sig", type=_sig, default=OlSig(), metavar="C_LAM,C_APP")
-
-    p_decode = sub.add_parser("decode", help="encoded term back to object-language text")
-    add_input(p_decode)
-    p_decode.add_argument("--sig", type=_sig, default=OlSig(), metavar="C_LAM,C_APP")
-
-    p_show = sub.add_parser("show", help="display a term in another form")
-    add_input(p_show)
-    p_show.add_argument(
-        "--out", choices=("named", "hoas", "db"), default="hoas", dest="out_form"
-    )
-    p_show.add_argument("--sig", type=_sig, default=OlSig(), metavar="C_LAM,C_APP")
-
-    p_check = sub.add_parser(
-        "check-abstr", help="classify a one-hole open term's closure"
-    )
-    add_input(p_check)
+    add_input("encode", "object-language text to a term", out=True, sig=True)
+    add_input("decode", "encoded term back to object-language text", sig=True)
+    add_input("show", "display a term in another form", out=True, sig=True)
+    add_input("check-abstr", "classify a one-hole open term's closure")
 
     p_sweep = sub.add_parser("sweep", help="run the law suites")
-    p_sweep.add_argument("--depth", type=_positive, default=3)
-    p_sweep.add_argument("--seed", type=_nonnegative, default=0)
-    p_sweep.add_argument("--count", type=_nonnegative, default=500)
+    p_sweep.add_argument("--depth", type=_at_least(1), default=3)
+    p_sweep.add_argument("--seed", type=_at_least(0), default=0)
+    p_sweep.add_argument("--count", type=_at_least(0), default=500)
     return parser
 
 

@@ -5,10 +5,15 @@ plus seeded random instances, returning a report with the failures
 rendered in the canonical textual forms. The checks compare terms
 through ``db_key`` so a deliberately broken key function (used by the
 mutation smoke tests) surfaces as law violations.
+
+Each law draws all its random cases, in order, from one stream
+(``_stream``), so the first ``k`` do not depend on ``count``.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -26,22 +31,21 @@ from .binder import (
     classify,
     ground_samples,
 )
-from .expr import from_db, to_db
-from .named_lambda import alpha_eq, decode, encode, gen_named_term, pretty
+from .expr import NotProper, from_db, to_db
+from .named_lambda import _draw_named_term, alpha_eq, decode, encode, pretty
 from .openterm import (
     Hole,
     OpenTerm,
+    _draw_open_term,
     enumerate_db_terms,
     enumerate_open_terms,
     exotic_library,
-    gen_open_term,
     reflect1,
     reflect2,
     reify1,
     to_text as ot_text,
 )
 from .terms import Abs, App, Con, DbTerm, Err, Var, proper, to_text
-from .expr import NotProper
 
 
 def db_key(t: DbTerm) -> str:
@@ -63,13 +67,18 @@ class LawReport:
 _EXHAUSTIVE_DEPTH_CAP = 3  # deeper exhaustive sweeps grow past millions of terms
 
 
-def _open_terms(arity: int, depth: int, count: int, seed: int) -> Iterator[OpenTerm]:
-    """Every open term up to the exhaustive depth cap, then ``count``
-    draws of depth ``depth`` seeded ``seed``, ``seed + 1``, ...
-    """
+def _stream(law: str, seed: int) -> random.Random:
+    # string seeds go through SHA-512: the same cases in every process and
+    # Python version, and different ones for each law
+    return random.Random(f"{law}:{seed}")
+
+
+def _open_terms(arity: int, depth: int, count: int = 0,
+                rng: random.Random | None = None) -> Iterator[OpenTerm]:
+    """Every open term up to the exhaustive depth cap, then ``count`` drawn from ``rng``."""
     yield from enumerate_open_terms(arity, min(depth, _EXHAUSTIVE_DEPTH_CAP))
-    for i in range(count):
-        yield gen_open_term(arity, depth, seed=seed + i)
+    for _ in range(count):
+        yield _draw_open_term(rng, arity, depth)
 
 
 def check_lam_injectivity(depth: int, seed: int, count: int) -> LawReport:
@@ -78,7 +87,7 @@ def check_lam_injectivity(depth: int, seed: int, count: int) -> LawReport:
     """
     report = LawReport("lam-injectivity")
     buckets: dict[str, OpenTerm] = {}
-    for ot in _open_terms(1, depth, 0, 0):
+    for ot in _open_terms(1, depth):
         key = db_key(to_db(LAM(reflect1(ot))))
         report.checked += 1
         seen = buckets.get(key)
@@ -88,9 +97,9 @@ def check_lam_injectivity(depth: int, seed: int, count: int) -> LawReport:
             report.failures.append(
                 f"equal binder images for distinct bodies: {ot_text(seen)} vs {ot_text(ot)}"
             )
-    for i in range(count):
-        a = gen_open_term(1, depth, seed=seed * 1_000_003 + 2 * i)
-        b = gen_open_term(1, depth, seed=seed * 1_000_003 + 2 * i + 1)
+    rng = _stream(report.name, seed)
+    for _ in range(count):
+        a, b = _draw_open_term(rng, 1, depth), _draw_open_term(rng, 1, depth)
         key_a = db_key(to_db(LAM(reflect1(a))))
         key_b = db_key(to_db(LAM(reflect1(b))))
         report.checked += 1
@@ -123,7 +132,7 @@ def check_characterization(depth: int, seed: int, count: int) -> LawReport:
     and the exotic variant appears exactly for non-syntactic closures.
     """
     report = LawReport("characterization")
-    for ot in _open_terms(1, depth, count, seed * 999_983):
+    for ot in _open_terms(1, depth, count, _stream(report.name, seed)):
         fn = reflect1(ot)
         got = classify(fn)
         report.checked += 1
@@ -146,7 +155,7 @@ def check_abstr2_componentwise(depth: int, seed: int, count: int) -> LawReport:
     one-argument slice with the other argument fixed to a ground term.
     """
     report = LawReport("abstr-2-componentwise")
-    for ot in _open_terms(2, depth, count, seed * 888_887):
+    for ot in _open_terms(2, depth, count, _stream(report.name, seed)):
         report.checked += 1
         if not abstr_2(reflect2(ot)):
             report.failures.append(f"syntactic pair closure rejected: {ot_text(ot)}")
@@ -167,7 +176,10 @@ def check_round_trips(depth: int, seed: int, count: int) -> LawReport:
     codec all invert as stated.
     """
     report = LawReport("round-trips")
-    for ot in _open_terms(1, depth, count, seed * 777_743):
+    rng = _stream(report.name, seed)
+    # a random case is an open term and a named term, drawn in that order
+    drawn = [(_draw_open_term(rng, 1, depth), _draw_named_term(rng, 12)) for _ in range(count)]
+    for ot in itertools.chain(_open_terms(1, depth), (ot for ot, _ in drawn)):
         report.checked += 1
         if reify1(reflect1(ot)) != ot:
             report.failures.append(f"reify/reflect mismatch: {ot_text(ot)}")
@@ -182,8 +194,7 @@ def check_round_trips(depth: int, seed: int, count: int) -> LawReport:
                 report.failures.append(f"dangling term accepted: {to_text(t)}")
             except NotProper:
                 pass
-    for i in range(count):
-        t = gen_named_term(12, seed=seed * 555_557 + i)
+    for _, t in drawn:
         report.checked += 1
         if not alpha_eq(decode(encode(t)), t):
             report.failures.append(f"codec round trip broke: {pretty(t)}")

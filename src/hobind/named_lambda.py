@@ -41,7 +41,8 @@ from typing import Iterator, Union
 
 from .binder import LAM
 from .expr import CON, VAR, Expr, VApp, VLam, cases, expr_equal, to_db
-from .terms import App, Bnd, Con, DbTerm, ParseError, Var, _offset, _sealed, _setters, fold
+from .terms import (App, Bnd, Con, DbTerm, ParseError, Var, _offset, _sealed, _setters,
+                    _tree_repr, fold)
 
 
 class NotInImage(Exception):
@@ -53,8 +54,8 @@ class NotAnAbstraction(Exception):
 
 
 class _Compound:
-    """Structural equality and hashing for NLam and NApp with explicit
-    stacks; the dataclass-generated ones recurse on the children.
+    """Structural equality, hashing and ``repr`` for NLam and NApp with
+    explicit stacks; the dataclass-generated ones recurse on the children.
     """
 
     __slots__ = ()
@@ -86,6 +87,9 @@ class _Compound:
         # equal terms print alike
         return hash(pretty(self))
 
+    def __repr__(self) -> str:
+        return _tree_repr(self, _COMPOUND_REPR)
+
 
 @_sealed
 @dataclass(frozen=True, init=False, slots=True)
@@ -110,7 +114,7 @@ class NFree:
 
 
 @_sealed
-@dataclass(frozen=True, eq=False, init=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, init=False, slots=True)
 class NLam(_Compound):
     name: str
     body: "NamedTerm"
@@ -121,7 +125,7 @@ class NLam(_Compound):
 
 
 @_sealed
-@dataclass(frozen=True, eq=False, init=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, init=False, slots=True)
 class NApp(_Compound):
     left: "NamedTerm"
     right: "NamedTerm"
@@ -135,6 +139,7 @@ class NApp(_Compound):
 (_nfree_index,) = _setters(NFree, "index")
 _nlam_name, _nlam_body = _setters(NLam, "name", "body")
 _napp_left, _napp_right = _setters(NApp, "left", "right")
+_COMPOUND_REPR = {NLam: ("name", "body"), NApp: ("left", "right")}
 
 
 NamedTerm = Union[NVar, NFree, NLam, NApp]
@@ -435,17 +440,23 @@ def gen_named_term(
     max_free: int = 2,
 ) -> NamedTerm:
     """One pseudo-random well-scoped named term; deterministic per seed."""
-    rng = random.Random(seed)
+    return _draw_named_term(random.Random(seed), max_size, names, max_free)
+
+
+def _draw_named_term(rng: random.Random, max_size: int, names: tuple[str, ...] = ("x", "y", "z"),
+                     max_free: int = 2) -> NamedTerm:
+    """The next term of ``gen_named_term``'s kind drawn from ``rng``."""
+    coin, choice, randrange = rng.random, rng.choice, rng.randrange
 
     def gen(budget: int, bound: tuple[str, ...]) -> NamedTerm:
-        if budget <= 1 or rng.random() < 0.3:
-            if bound and rng.random() < 0.5:
-                return NVar(rng.choice(bound))
-            return NFree(rng.randrange(max_free + 1))
-        if rng.random() < 0.45:
-            name = rng.choice(names)
+        if budget <= 1 or coin() < 0.3:
+            if bound and coin() < 0.5:
+                return NVar(choice(bound))
+            return NFree(randrange(max_free + 1))
+        if coin() < 0.45:
+            name = choice(names)
             return NLam(name, gen(budget - 1, bound + (name,)))
-        split = rng.randrange(1, budget - 1) if budget > 2 else 1
+        split = randrange(1, budget - 1) if budget > 2 else 1
         return NApp(gen(split, bound), gen(budget - 1 - split, bound))
 
     return gen(max_size, ())

@@ -187,14 +187,19 @@ def enumerate_open_terms(arity: int, max_depth: int) -> Iterator[OpenTerm]:
 
 def gen_open_term(arity: int, max_depth: int, seed: int) -> OpenTerm:
     """One pseudo-random open term; deterministic for a fixed seed."""
+    return _draw_open_term(random.Random(seed), arity, max_depth)
+
+
+def _draw_open_term(rng: random.Random, arity: int, max_depth: int) -> OpenTerm:
+    """The next open term of ``gen_open_term``'s kind drawn from ``rng``."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    rng = random.Random(seed)
+    coin, choice = rng.random, rng.choice
 
     def gen(depth: int, binders: int) -> Body:
-        if depth <= 1 or rng.random() < 0.3:
-            return rng.choice(_leaves(arity, binders))
-        if rng.random() < 0.5:
+        if depth <= 1 or coin() < 0.3:
+            return choice(_leaves(arity, binders))
+        if coin() < 0.5:
             return App(gen(depth - 1, binders), gen(depth - 1, binders))
         return Abs(gen(depth - 1, binders + 1))
 

@@ -90,8 +90,8 @@ class _Leaf:
 
 
 class _Inner:
-    """Structural equality and hashing for App and Abs with explicit
-    stacks; the dataclass-generated ones recurse on the children.
+    """Structural equality, hashing and ``repr`` for App and Abs with
+    explicit stacks; the dataclass-generated ones recurse on the children.
     """
 
     __slots__ = ()
@@ -125,6 +125,32 @@ class _Inner:
 
     def __hash__(self) -> int:
         return hash(tuple(_preorder(self)))
+
+    def __repr__(self) -> str:
+        return _tree_repr(self, _INNER_REPR)
+
+
+def _tree_repr(t, shown: dict[type, tuple[str, ...]]) -> str:
+    """The dataclass-generated ``repr`` of ``t``, on an explicit stack.
+    ``shown`` maps each inner node class to the fields its ``repr``
+    shows; every other value prints with its own ``repr``.
+    """
+    out: list[str] = []
+    stack = [t]  # nodes still to print, and text (str) to copy
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        cls = type(item)
+        parts: list = [cls.__qualname__ + "("]
+        for k, name in enumerate(shown[cls]):
+            value = getattr(item, name)
+            parts.append(f"{', ' if k else ''}{name}=")
+            parts.append(value if type(value) in shown else repr(value))
+        parts.append(")")
+        stack.extend(reversed(parts))
+    return "".join(out)
 
 
 def _preorder(t: DbTerm) -> list:
@@ -168,7 +194,7 @@ class Var(_Leaf):
 
 
 @_sealed
-@dataclass(frozen=True, eq=False, init=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, init=False, slots=True)
 class App(_Inner):
     left: "DbTerm"
     right: "DbTerm"
@@ -208,7 +234,7 @@ _bnd_index, _bnd_lvl = _setters(Bnd, "index", "lvl")
 
 
 @_sealed
-@dataclass(frozen=True, eq=False, init=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, init=False, slots=True)
 class Abs(_Inner):
     """Nameless binder."""
 
@@ -224,6 +250,8 @@ class Abs(_Inner):
 
 
 _abs_body, _abs_lvl, _abs_pids = _setters(Abs, "body", "lvl", "pids")
+
+_INNER_REPR = {App: ("left", "right"), Abs: ("body",)}
 
 
 @_sealed

@@ -192,6 +192,41 @@ class TestSweep:
         assert "FAILED" in out
         assert "first counterexample:" in out
 
+    # per-law check counts as the sweep printed them when each random
+    # case seeded its own generator: the exhaustive sets plus ``count``
+    @pytest.mark.parametrize("depth,seed,count,checks", [
+        (2, 0, 10, (59, 65, 77, 1280)),
+        (2, 7, 25, (74, 80, 92, 1310)),
+        (3, 1, 5, (2476, 2482, 4192, 3692)),
+        (5, 0, 3, (2474, 2480, 4190, 3688)),
+    ])
+    def test_check_counts(self, capsys, depth, seed, count, checks):
+        code, out, _ = run(capsys, "sweep", "--depth", str(depth), "--seed", str(seed),
+                           "--count", str(count))
+        laws = ("lam-injectivity", "characterization", "abstr-2-componentwise", "round-trips")
+        assert code == 0
+        assert out.splitlines() == [
+            *(f"law {law}: {n} checks, ok" for law, n in zip(laws, checks)), "all laws hold"]
+
+    def test_random_cases_catch_large_term_faults(self, capsys, monkeypatch):
+        # a key collapsing every term larger than the exhaustive sets
+        # produce passes at depth 2; only random draws of depth 5 reach it
+        from hobind.binder import LAM
+        from hobind.expr import to_db
+        from hobind.openterm import enumerate_open_terms, reflect1
+        from hobind.terms import size
+
+        cap = max(size(to_db(LAM(reflect1(ot))))
+                  for ot in enumerate_open_terms(1, laws_mod._EXHAUSTIVE_DEPTH_CAP))
+        real = laws_mod.db_key
+        monkeypatch.setattr(laws_mod, "db_key", lambda t: "LARGE" if size(t) > cap else real(t))
+        code, out, _ = run(capsys, "sweep", "--depth", "2")
+        assert (code, out.splitlines()[-1]) == (0, "all laws hold")
+        code, out, _ = run(capsys, "sweep", "--depth", "5", "--count", "50")
+        assert code == 1
+        assert "law lam-injectivity: 2521 checks, " in out and " FAILED" in out
+        assert "first counterexample: injectivity mismatch: " in out
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("argv", [

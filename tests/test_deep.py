@@ -8,9 +8,11 @@ shapes encoded (``fn f. f #0 #1 ...``, ``fn x1. ... fn xn. x1 xn``,
 trees directly, as ``encode`` recurses in the host. The named-term
 parser does not, and reads nested parentheses and binders of that depth;
 named terms of that depth compare, hash and pass ``alpha_eq`` and
-``well_scoped`` too.
+``well_scoped`` too. ``repr`` prints terms of any depth, with the text
+the dataclass-generated ``repr`` gives a shallow one.
 """
 
+import dataclasses
 from functools import cached_property
 
 import pytest
@@ -19,9 +21,19 @@ from hobind import openterm
 from hobind.binder import LAM, AppCase, LamCase, classify
 from hobind.cli import main
 from hobind.expr import APP, VAR, VLam, cases, expr_equal, from_db, pretty, to_db
-from hobind.named_lambda import NApp, NFree, NLam, NVar, alpha_eq, decode, parse, well_scoped
+from hobind.named_lambda import (
+    NApp,
+    NFree,
+    NLam,
+    NVar,
+    alpha_eq,
+    decode,
+    enumerate_named_terms,
+    parse,
+    well_scoped,
+)
 from hobind.named_lambda import pretty as pretty_named
-from hobind.openterm import Hole, OpenTerm, reflect1, reify1
+from hobind.openterm import Hole, OpenTerm, enumerate_db_terms, reflect1, reify1
 from hobind.terms import (
     Abs,
     App,
@@ -210,6 +222,53 @@ def test_binding_a_deep_body(shape):
     fn = reflect1(shape.ot)
     assert to_db(LAM(fn)) == shape.term
     assert isinstance(classify(fn), AppCase if shape.name == "spine" else LamCase)
+
+
+def flat_repr(t):
+    """``repr(t)``, or None if it recursed. A RecursionError's traceback
+    holds a deep term in each of its frames, and reporting it takes
+    pytest minutes.
+    """
+    try:
+        return repr(t)
+    except RecursionError:
+        return None
+
+
+def test_repr(shape):
+    text = flat_repr(shape.term)
+    assert text is not None
+    assert text.startswith("Abs(body=") and text.endswith(")")
+    assert text.count("(") == text.count(")") == count_nodes(shape.term)
+    assert (flat_repr(shape.ot) or "").startswith("OpenTerm(arity=1, body=")
+
+
+def test_repr_of_nested_binders():
+    t, body = Bnd(0), Hole(0)
+    for _ in range(DEPTH):
+        t, body = Abs(t), Abs(body)
+    assert flat_repr(t) == "Abs(body=" * DEPTH + "Bnd(index=0)" + ")" * DEPTH
+    assert flat_repr(OpenTerm(1, body)) == (
+        "OpenTerm(arity=1, body=" + "Abs(body=" * DEPTH + "Hole(index=0)" + ")" * (DEPTH + 1))
+    named = parse("fn x. " * DEPTH + "x")
+    assert flat_repr(named) == "NLam(name='x', body=" * DEPTH + "NVar(name='x')" + ")" * DEPTH
+
+
+def generated_repr(t):
+    """The text the dataclass-generated ``repr`` gives ``t``, recursively."""
+    if type(t) not in (App, Abs, NLam, NApp):
+        return repr(t)
+    shown = (f"{f.name}={generated_repr(getattr(t, f.name))}"
+             for f in dataclasses.fields(t) if f.repr)
+    return f"{type(t).__qualname__}({', '.join(shown)})"
+
+
+def test_repr_is_the_generated_text():
+    assert repr(App(Abs(Bnd(0)), Con("c"))) == "App(left=Abs(body=Bnd(index=0)), right=Con(name='c'))"
+    assert repr(NLam("x", NApp(NVar("x"), NFree(1)))) == (
+        "NLam(name='x', body=NApp(left=NVar(name='x'), right=NFree(index=1)))")
+    for t in [*enumerate_db_terms(4), *enumerate_named_terms(4)]:
+        assert repr(t) == generated_repr(t)
 
 
 def test_cli_show_and_decode(shape, capsys):

@@ -319,3 +319,32 @@ class TestGenerators:
             t = gen_named_term(12, seed)
             assert t == gen_named_term(12, seed)
             assert well_scoped(t)
+
+    # (max_size, seed, text) as gen_named_term printed them when each
+    # call seeded its own generator; the output must not change
+    PINNED = [
+        (1, 0, '#1'),
+        (1, 2, '#0'),
+        (1, 3, '#0'),
+        (1, 5, '#2'),
+        (1, 9, '#1'),
+        (5, 0, '#2 (#1 #1)'),
+        (5, 2, '#0 #0'),
+        (5, 3, '#2'),
+        (5, 5, '(#1 #0) #2'),
+        (5, 9, 'fn x. #1'),
+        (12, 0, '#2 ((fn x. #1) #0)'),
+        (12, 2, '#0 #0'),
+        (12, 3, '#2'),
+        (12, 5, '#1 (fn x. #0)'),
+        (12, 9, 'fn x. #1'),
+        (30, 0, '#2 ((fn x. fn x. fn z. #1 x) ((fn y. y y) #1))'),
+        (30, 2, '#1 ((fn x. ((fn y. y #1) (#0 x)) (fn z. #1 (#1 z))) #1)'),
+        (30, 3, '#2'),
+        (30, 5, '((fn y. fn x. fn y. fn x. fn x. fn y. #0) (fn x. #0)) (#0 #1)'),
+        (30, 9, 'fn x. #1'),
+    ]
+
+    @pytest.mark.parametrize("size,seed,text", PINNED)
+    def test_pinned_outputs(self, size, seed, text):
+        assert pretty(gen_named_term(size, seed)) == text

@@ -149,6 +149,45 @@ class TestGeneration:
             ot = gen_open_term(2, 5, seed=s)
             OpenTerm(ot.arity, ot.body)
 
+    # (arity, max_depth, seed, text) as gen_open_term printed them when
+    # each call seeded its own generator; the output must not change
+    PINNED = [
+        (1, 1, 0, '(VAR 0)'),
+        (1, 1, 2, '(HOLE 0)'),
+        (1, 1, 3, '(CON c1)'),
+        (1, 1, 5, '(VAR 1)'),
+        (1, 1, 9, '(VAR 0)'),
+        (1, 2, 0, '(ABS (VAR 0))'),
+        (1, 2, 2, '(ABS (HOLE 0))'),
+        (1, 2, 3, '(VAR 1)'),
+        (1, 2, 5, '(ABS (BND 0))'),
+        (1, 2, 9, '(APP (CON c1) (CON c1))'),
+        (1, 4, 0, '(ABS (APP (APP (BND 0) (BND 0)) (APP (VAR 1) (CON c1))))'),
+        (1, 4, 2, '(ABS (HOLE 0))'),
+        (1, 4, 3, '(VAR 1)'),
+        (1, 4, 5, '(ABS (ABS (ABS (HOLE 0))))'),
+        (1, 4, 9, '(APP ERR (VAR 1))'),
+        (2, 1, 0, 'ERR'),
+        (2, 1, 2, 'ERR'),
+        (2, 1, 3, '(HOLE 1)'),
+        (2, 1, 5, '(VAR 0)'),
+        (2, 1, 9, '(CON c2)'),
+        (2, 2, 0, '(ABS ERR)'),
+        (2, 2, 2, '(ABS (HOLE 0))'),
+        (2, 2, 3, '(VAR 0)'),
+        (2, 2, 5, '(ABS (HOLE 0))'),
+        (2, 2, 9, '(APP (HOLE 1) (HOLE 1))'),
+        (2, 4, 0, '(ABS (APP (APP (VAR 0) (BND 0)) (ABS (CON c2))))'),
+        (2, 4, 2, '(ABS (HOLE 1))'),
+        (2, 4, 3, '(VAR 0)'),
+        (2, 4, 5, '(ABS (ABS (ABS (HOLE 0))))'),
+        (2, 4, 9, '(APP ERR (APP (ABS (VAR 1)) (ABS (HOLE 0))))'),
+    ]
+
+    @pytest.mark.parametrize("arity,depth,seed,text", PINNED)
+    def test_pinned_outputs(self, arity, depth, seed, text):
+        assert to_text(gen_open_term(arity, depth, seed=seed)) == text
+
 
 class TestExoticLibrary:
     def test_unary_all_fail(self):
