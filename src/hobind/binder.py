@@ -71,14 +71,23 @@ def _as_body(out: object) -> DbTerm:
     return out._t
 
 
+def _fresh(arity: int) -> tuple[ProbeId, ...]:
+    # arity is 1 or 2, spelled out: a generator here cost as much as the
+    # rest of a session's set-up
+    return (fresh_probe(),) if arity == 1 else (fresh_probe(), fresh_probe())
+
+
 def _probed(fn, probes: tuple[ProbeId, ...]) -> DbTerm:
     # ``fn`` is called from here directly: every frame between two nested
     # binders lowers the nesting depth the host stack allows
-    body = _as_body(fn(*(Expr(Probe(p)) for p in probes)))
+    if len(probes) == 1:
+        body = _as_body(fn(Expr(Probe(probes[0]))))
+    else:
+        body = _as_body(fn(Expr(Probe(probes[0])), Expr(Probe(probes[1]))))
     if double_eval_check:
-        again = tuple(fresh_probe() for _ in probes)
+        again = _fresh(len(probes))
         norm = body
-        renorm = _as_body(fn(*(Expr(Probe(q)) for q in again)))
+        renorm = _as_body(fn(*[Expr(Probe(q)) for q in again]))
         for p, q in zip(probes, again):
             marker = Probe(fresh_probe())  # not forgeable by the closure
             norm = replace_probe(norm, p, marker)
@@ -93,7 +102,7 @@ def _session(fn, arity: int = 1) -> tuple[tuple[ProbeId, ...], DbTerm | None]:
     None exactly when ``fn`` inspected one of them. Inspecting an
     enclosing binder's probe keeps propagating.
     """
-    probes = tuple(fresh_probe() for _ in range(arity))
+    probes = _fresh(arity)
     try:
         return probes, _probed(fn, probes)
     except ExoticUse as exc:
@@ -141,7 +150,7 @@ def ordinary(fn: Binder1) -> bool:
     true whenever the body has a top-level constructor of its own.
     """
     (p,), body = _session(fn)
-    return body is not None and body != Probe(p)
+    return body is not None and not (type(body) is Probe and body.pid == p)
 
 
 def abstr_2(fn: Binder2) -> bool:
@@ -215,7 +224,7 @@ def classify(fn: Binder1) -> AbstrClassification:
     (p,), body = _session(fn)
     if body is None:
         return Exotic()
-    if body == Probe(p):
+    if type(body) is Probe and body.pid == p:
         return Identity()
     match body:
         case Con(name):

@@ -90,15 +90,16 @@ class OpenTerm:
     body: Body
 
     def __post_init__(self):
-        holes = []
+        top = -1  # the largest hole index, the first of equals
         for node, _ in walk(self.body):
             cls = type(node)
             if cls is Hole and isinstance(node.index, int) and node.index >= 0:
-                holes.append(node.index)
+                if node.index > top:
+                    top = node.index
             elif cls not in _BODY_KINDS:
                 raise ValueError(f"not an open-term body: {node!r}")
-        if holes and max(holes) >= self.arity:
-            raise ValueError(f"hole index {max(holes)} outside arity {self.arity}")
+        if top >= self.arity:
+            raise ValueError(f"hole index {top} outside arity {self.arity}")
         if not level(0, self.body):
             raise ValueError("open-term body has dangling indices")
 

@@ -23,6 +23,7 @@ from hobind.binder import (
 )
 from hobind.expr import (
     APP,
+    ExoticUse,
     CON,
     ERR,
     VAR,
@@ -229,6 +230,16 @@ class TestOrdinary:
     def test_bare_argument_is_not_ordinary(self):
         assert ordinary(lambda x: x) is False
 
+    def test_enclosing_binders_argument_is_ordinary(self):
+        seen = []
+
+        def outer(x):
+            seen.append((ordinary(lambda y: y), ordinary(lambda y: x)))
+            return APP(x, x)
+
+        assert expr_equal(LAM(outer), LAM(lambda x: APP(x, x)))
+        assert seen == [(False, True)]
+
     def test_heads_are_ordinary(self):
         assert ordinary(lambda x: CON("c1")) is True
         assert ordinary(lambda x: APP(x, x)) is True
@@ -281,6 +292,23 @@ class TestClassify:
 
     def test_exotic(self):
         assert classify(exotic_branch_on_con) == Exotic()
+
+    def test_own_bare_probe_and_an_enclosing_ones(self):
+        # the closure's own probe is the identity; an enclosing binder's,
+        # as the whole body, has no head to name without inspecting it
+        seen = []
+
+        def outer(x):
+            seen.append(classify(lambda y: y))
+            with pytest.raises(ExoticUse) as exc:
+                classify(lambda y: x)
+            assert exc.value.pids == x._pids and exc.value.op == "classify"
+            seen.append(classify(lambda y: APP(x, y)))
+            return x
+
+        assert expr_equal(LAM(outer), LAM(lambda x: x))
+        identity, app = seen
+        assert identity == Identity() and isinstance(app, AppCase)
 
     def test_exotic_iff_not_abstr(self):
         fns = [
@@ -409,6 +437,25 @@ class TestEvaluationContract:
         monkeypatch.setattr(binder_mod, "double_eval_check", True)
         assert abstr(lambda x: LAM(lambda y: APP(x, y))) is True
         assert to_db(LAM(lambda x: APP(x, VAR(0)))) == Abs(App(Bnd(0), Var(0)))
+
+    def test_double_eval_on_pair_closures(self, monkeypatch):
+        monkeypatch.setattr(binder_mod, "double_eval_check", True)
+        calls = []
+
+        def swap(x, y):
+            calls.append((x, y))
+            return APP(y, LAM(lambda z: APP(x, z)))
+
+        assert abstr_2(swap) is True
+        assert len(calls) == 2 and calls[0][0]._pids != calls[1][0]._pids
+        assert abstr_2(lambda x, y: x if expr_equal(x, y) else y) is False
+        counter = itertools.count()
+        with pytest.raises(PurityError):
+            abstr_2(lambda x, y: APP(x, VAR(next(counter))))
+        # the arguments are compared by position: swapping them is impure
+        flips = itertools.cycle([False, True])
+        with pytest.raises(PurityError):
+            abstr_2(lambda x, y: APP(y, x) if next(flips) else APP(x, y))
 
     def test_non_expr_result_is_a_type_error(self):
         with pytest.raises(TypeError):

@@ -317,3 +317,18 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["encode", "-e", "#0", "--sig", "same,same"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("argv, name", [
+        (["encode", "--sig", "a b,c", "-e", "fn x. x"], "a b"),
+        (["encode", "--sig", "(,c", "-e", "fn x. x"], "("),
+        (["encode", "--sig", "l,", "-e", "fn x. x"], ""),
+        (["decode", "--sig", "a b,c", "-e", "(CON x)"], "a b"),
+        (["show", "--sig", "l,a)", "-e", "(CON x)"], "a)"),
+    ])
+    def test_sig_name_that_is_not_a_constant(self, capsys, argv, name):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1].endswith(f"error: argument --sig: bad constant name {name!r}")
+        assert not any("Traceback" in line for line in lines)

@@ -9,11 +9,14 @@ trees directly, as ``encode`` recurses in the host. The named-term
 parser does not, and reads nested parentheses and binders of that depth;
 named terms of that depth compare, hash and pass ``alpha_eq`` and
 ``well_scoped`` too. ``repr`` prints terms of any depth, with the text
-the dataclass-generated ``repr`` gives a shallow one.
+the dataclass-generated ``repr`` gives a shallow one. Every test at that
+depth is ``stack_safe``: a regression to host recursion fails it in
+seconds, not minutes.
 """
 
 import dataclasses
-from functools import cached_property
+import os
+from functools import cached_property, wraps
 
 import pytest
 
@@ -92,6 +95,27 @@ def numeral(n, app, lam, x):
 SHAPES = {"spine": spine, "nested": nested, "numeral": numeral}
 
 
+def stack_safe(test):
+    """``test``, failing at once with a one-line report if it raises
+    ``RecursionError``. That error's traceback holds a deep term in each
+    of its frames, and pytest takes minutes to report it.
+    """
+    @wraps(test)
+    def run(*args, **kwargs):
+        try:
+            return test(*args, **kwargs)
+        except RecursionError as exc:
+            tb = exc.__traceback__
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            code = tb.tb_frame.f_code
+            where = f"{code.co_name} ({os.path.basename(code.co_filename)}:{tb.tb_lineno})"
+        # outside the handler, so that the error and its frames are gone
+        pytest.fail(f"RecursionError in {where}: host recursion on a deep term", pytrace=False)
+
+    return run
+
+
 def count_nodes(t):
     n, stack = 0, [t]
     while stack:
@@ -133,26 +157,31 @@ def shape(request):
     return Shape(request.param)
 
 
+@stack_safe
 def test_text_round_trip(shape):
     text = to_text(shape.term)
     assert text.count("(") == count_nodes(shape.term)
     assert from_text(text) == shape.term
 
 
+@stack_safe
 def test_db_round_trip(shape):
     assert to_db(from_db(shape.term)) == shape.term
 
 
+@stack_safe
 def test_level_and_proper(shape):
     assert proper(shape.term)
     assert not proper(shape.inner)
     assert level(1, shape.inner)
 
 
+@stack_safe
 def test_size(shape):
     assert size(shape.term) == count_nodes(shape.term)
 
 
+@stack_safe
 def test_probe_plumbing(shape):
     assert probe_ids(shape.probed) == {shape.pid}
     assert bind_probe(shape.probed, shape.pid, 0) == shape.inner
@@ -161,6 +190,7 @@ def test_probe_plumbing(shape):
     )
 
 
+@stack_safe
 def test_equality_and_hash(shape):
     copy = from_db(Abs(shape.make(DEPTH, App, Abs, Bnd)))
     assert expr_equal(from_db(shape.term), copy)
@@ -170,18 +200,21 @@ def test_equality_and_hash(shape):
     assert not expr_equal(a, b)
 
 
+@stack_safe
 def test_pretty(shape):
     text = pretty(from_db(shape.term))
     assert text.startswith("LAM x1. ")
     assert text.count(" $$ ") == to_text(shape.term).count("(APP ")
 
 
+@stack_safe
 def test_cases_opens_the_binder(shape):
     view = cases(from_db(shape.term))
     assert isinstance(view, VLam)
     assert to_db(view.binder(VAR(5))) == instantiate(shape.inner, 0, Var(5))
 
 
+@stack_safe
 def test_decode(shape):
     steps, encoded = shape.encoded
     named = decode(from_db(encoded))
@@ -206,52 +239,45 @@ def test_decode(shape):
         assert t == NVar("x2")
 
 
+@stack_safe
 def test_openterm_text_round_trip(shape):
     text = openterm.to_text(shape.ot)
     assert "(HOLE 0)" in text
     assert openterm.from_text(text) == shape.ot
 
 
+@stack_safe
 def test_reflect_and_reify(shape):
     fn = reflect1(shape.ot)
     assert to_db(fn(VAR(3))) == instantiate(shape.inner, 0, Var(3))
     assert reify1(fn) == shape.ot
 
 
+@stack_safe
 def test_binding_a_deep_body(shape):
     fn = reflect1(shape.ot)
     assert to_db(LAM(fn)) == shape.term
     assert isinstance(classify(fn), AppCase if shape.name == "spine" else LamCase)
 
 
-def flat_repr(t):
-    """``repr(t)``, or None if it recursed. A RecursionError's traceback
-    holds a deep term in each of its frames, and reporting it takes
-    pytest minutes.
-    """
-    try:
-        return repr(t)
-    except RecursionError:
-        return None
-
-
+@stack_safe
 def test_repr(shape):
-    text = flat_repr(shape.term)
-    assert text is not None
+    text = repr(shape.term)
     assert text.startswith("Abs(body=") and text.endswith(")")
     assert text.count("(") == text.count(")") == count_nodes(shape.term)
-    assert (flat_repr(shape.ot) or "").startswith("OpenTerm(arity=1, body=")
+    assert repr(shape.ot).startswith("OpenTerm(arity=1, body=")
 
 
+@stack_safe
 def test_repr_of_nested_binders():
     t, body = Bnd(0), Hole(0)
     for _ in range(DEPTH):
         t, body = Abs(t), Abs(body)
-    assert flat_repr(t) == "Abs(body=" * DEPTH + "Bnd(index=0)" + ")" * DEPTH
-    assert flat_repr(OpenTerm(1, body)) == (
+    assert repr(t) == "Abs(body=" * DEPTH + "Bnd(index=0)" + ")" * DEPTH
+    assert repr(OpenTerm(1, body)) == (
         "OpenTerm(arity=1, body=" + "Abs(body=" * DEPTH + "Hole(index=0)" + ")" * (DEPTH + 1))
     named = parse("fn x. " * DEPTH + "x")
-    assert flat_repr(named) == "NLam(name='x', body=" * DEPTH + "NVar(name='x')" + ")" * DEPTH
+    assert repr(named) == "NLam(name='x', body=" * DEPTH + "NVar(name='x')" + ")" * DEPTH
 
 
 def generated_repr(t):
@@ -271,6 +297,7 @@ def test_repr_is_the_generated_text():
         assert repr(t) == generated_repr(t)
 
 
+@stack_safe
 def test_cli_show_and_decode(shape, capsys):
     assert main(["show", "-e", to_text(shape.term)]) == 0
     assert capsys.readouterr().out.startswith("LAM x1. ")
@@ -278,12 +305,14 @@ def test_cli_show_and_decode(shape, capsys):
     assert capsys.readouterr().out.startswith("fn x1. ")
 
 
+@stack_safe
 def test_parse_nested_parentheses():
     assert parse("(" * DEPTH + "#0" + ")" * DEPTH) == NFree(0)
     text = "#0 (" * (DEPTH - 1) + "#0 #1" + ")" * (DEPTH - 1)  # a right spine
     assert pretty_named(parse(text)) == text
 
 
+@stack_safe
 def test_parse_nested_binders_round_trips_through_pretty():
     text = "fn x. " * DEPTH + "x"
     t = parse(text)
@@ -302,6 +331,7 @@ NAMED_SHAPES = {  # text, and the same text with its last leaf changed
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_SHAPES))
+@stack_safe
 def test_named_equality_hash_and_alpha_eq(name):
     text, changed = NAMED_SHAPES[name]
     t, u, v = parse(text), parse(text), parse(changed)
@@ -310,6 +340,7 @@ def test_named_equality_hash_and_alpha_eq(name):
     assert well_scoped(t) and well_scoped(v)
 
 
+@stack_safe
 def test_named_binders_renamed_and_unbound():
     t = parse("fn x. " * DEPTH + "x")
     renamed = parse("fn y. " * DEPTH + "y")

@@ -25,7 +25,11 @@ from hobind.named_lambda import (
     pretty,
     well_scoped,
 )
-from hobind.terms import Abs, App, Bnd, Con, ParseError, Var
+from hobind.terms import Abs, App, Bnd, Con, ParseError, Var, walk
+
+
+def walk_leaves(t):
+    return [n for n, _ in walk(t) if type(n) not in (App, Abs)]
 
 
 SHOWCASE = "fn x. fn y. (x y) #3"
@@ -149,6 +153,35 @@ class TestEncode:
     def test_sig_requires_distinct_constants(self):
         with pytest.raises(ValueError):
             OlSig(c_app="c", c_lam="c")
+
+    @pytest.mark.parametrize("name", ["a b", "(", ")", "a(b", "", " c", "a\xa0b", 3, None])
+    def test_sig_names_are_constant_names(self, name):
+        for sig in ({"c_app": name}, {"c_lam": name}):
+            with pytest.raises(ValueError, match="bad constant name"):
+                OlSig(**sig)
+        with pytest.raises(ValueError, match="bad constant name"):
+            CON(name)
+
+    @pytest.mark.parametrize("name", ["l", "c₁", "ERR", "x-y", "#0", "٣"])
+    def test_sig_accepts_what_con_accepts(self, name):
+        sig = OlSig(c_app="a", c_lam=name)
+        assert to_db(encode(parse("fn x. x"), sig)) == App(to_db(CON(name)), Abs(Bnd(0)))
+
+    def test_repeated_free_variable_is_one_leaf(self):
+        t = to_db(encode(parse("#1 (fn x. x #1 #0) #1")))
+        leaves = [n for n in walk_leaves(t) if type(n) is Var]
+        assert [n.index for n in leaves] == [1, 1, 0, 1]
+        assert leaves[0] is leaves[1] is leaves[3] and leaves[2] is not leaves[0]
+        assert t == named_to_db(parse("#1 (fn x. x #1 #0) #1"))
+
+    @pytest.mark.parametrize("index", [-1, True, 1.0, "1"])
+    def test_bad_free_index_fails_at_every_occurrence(self, index):
+        bad = NFree(index)
+        for t in (bad, NApp(bad, NFree(1)), NApp(NFree(1), bad),
+                  NApp(NApp(NFree(1), NLam("x", NApp(NFree(1), NVar("x")))), bad),
+                  NApp(NApp(bad, NFree(1)), bad)):
+            with pytest.raises(ValueError, match="variable number must be a natural"):
+                encode(t)
 
 
 def differential_terms():

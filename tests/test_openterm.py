@@ -17,7 +17,32 @@ from hobind.openterm import (
     reify1,
     to_text,
 )
-from hobind.terms import Abs, App, Bnd, Con, Err, Var, proper, size
+from hobind.terms import Abs, App, Bnd, Con, Err, Probe, Var, proper, size
+
+
+# (arity, body, message or None if valid); every message is the one the
+# validator gave when it collected the holes in a list
+VALIDATION = [
+    (1, Hole(0), None),
+    (2, App(Hole(1), Abs(App(Bnd(0), Hole(0)))), None),
+    (1, Con("c"), None),
+    (1, Hole(1), "hole index 1 outside arity 1"),
+    (0, Hole(0), "hole index 0 outside arity 0"),
+    # the largest hole is reported, wherever it stands
+    (1, App(Hole(3), App(Hole(5), Hole(2))), "hole index 5 outside arity 1"),
+    (2, Abs(App(Hole(4), Hole(9))), "hole index 9 outside arity 2"),
+    (1, App(Hole(True), Hole(1)), "hole index True outside arity 1"),
+    # a foreign leaf anywhere in pre-order wins over a hole outside the arity
+    (1, App(Probe(10**9), Hole(7)), "not an open-term body: Probe(pid=1000000000)"),
+    (1, App(Hole(7), Abs(Probe(10**9))), "not an open-term body: Probe(pid=1000000000)"),
+    (1, "nope", "not an open-term body: 'nope'"),
+    (1, App(Hole(7), Abs(Bnd(3))), "hole index 7 outside arity 1"),
+    (2, App(Hole(-1), Hole(5)), "not an open-term body: Hole(index=-1)"),
+    (1, Hole("0"), "not an open-term body: Hole(index='0')"),
+    # a dangling index comes last
+    (1, Bnd(0), "open-term body has dangling indices"),
+    (1, Abs(App(Bnd(1), Hole(0))), "open-term body has dangling indices"),
+]
 
 
 class TestOpenTermInvariants:
@@ -35,6 +60,15 @@ class TestOpenTermInvariants:
     def test_garbage_body(self):
         with pytest.raises(ValueError):
             OpenTerm(1, "nope")
+
+    @pytest.mark.parametrize("arity, body, message", VALIDATION)
+    def test_validation_messages(self, arity, body, message):
+        if message is None:
+            assert OpenTerm(arity, body).body is body
+        else:
+            with pytest.raises(ValueError) as exc:
+                OpenTerm(arity, body)
+            assert str(exc.value) == message
 
 
 class TestReflect:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from hobind import openterm
+from hobind import openterm, terms
 from hobind.expr import CON, to_db
+from hobind.named_lambda import encode, gen_named_term, parse
 from hobind.openterm import Hole
 from hobind.terms import App, Bnd, Con, Err, ParseError, Var, from_text, to_text
 
@@ -283,3 +284,47 @@ def test_con_and_reader_agree_on_random_names(name):
 def test_con_rejects_non_strings(name):
     with pytest.raises(ValueError):
         CON(name)
+
+
+# ---------------------------------------------------------------------------
+# The reader splits with ``str.split`` (``terms._tokens``); the error path
+# still scans with ``_TOKEN``, so the two must give the same tokens.
+
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+
+
+def test_tokens_split_at_every_whitespace_code_point():
+    assert len(WHITESPACE) > 20
+    for c in WHITESPACE:
+        text = f"{c}(APP{c}(CON a){c}{c}ERR){c}x{c}"
+        assert terms._tokens(text) == terms._TOKEN.findall(text) == [
+            "(", "APP", "(", "CON", "a", ")", "ERR", ")", "x"]
+    # and at nothing else: every other code point is part of an atom
+    others = "".join(c for c in map(chr, range(sys.maxunicode + 1))
+                     if not c.isspace() and c not in "()")
+    assert terms._tokens(others) == terms._TOKEN.findall(others) == [others]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(["(", ")", *ATOMS]), st.sampled_from(WHITESPACE),
+                          st.text(min_size=1, max_size=3)), max_size=20))
+def test_tokens_match_the_pattern_on_random_text(pieces):
+    text = "".join(pieces)
+    assert terms._tokens(text) == terms._TOKEN.findall(text)
+
+
+def codec_texts():
+    """De Bruijn texts of encoded terms: random terms, application
+    spines and Church numerals of 16 to 256 nodes.
+    """
+    for n in (16, 64, 256):
+        for seed in range(5):
+            yield to_text(to_db(encode(gen_named_term(n, seed))))
+        yield to_text(to_db(encode(parse("fn f. f" + " #0" * n))))
+        yield to_text(to_db(encode(parse("fn f. fn x. " + "f (" * n + "x" + ")" * n))))
+
+
+def test_tokens_match_the_pattern_on_codec_texts():
+    for text in codec_texts():
+        assert terms._tokens(text) == terms._TOKEN.findall(text)
+        assert to_text(from_text(text)) == text
