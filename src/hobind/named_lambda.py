@@ -22,11 +22,10 @@ application as ``c_app $$ l $$ r``; since every closure it hands to the
 binding operator merely assembles syntax around its argument, every
 encoded binder passes the syntactic-closure check. It makes exactly
 one ``LAM`` call per ``fn`` and builds raw de Bruijn nodes in between:
-an ``Expr`` wraps only what a closure returns, and the whole result;
-each free index is one leaf, checked once per call. Its closures share
-one environment: each binds its name on entry and restores the outer
-binding on exit. Each ``LAM`` evaluates its closure inside the
-enclosing one, so ``encode`` still recurses in the host.
+an ``Expr`` wraps only what a closure returns, and the whole result.
+Its closures share one environment: each binds its name on entry and
+restores the outer binding on exit. Each ``LAM`` evaluates its closure
+inside the enclosing one, so ``encode`` still recurses in the host.
 ``decode`` inverts the encoding with display names chosen by binder
 depth, so round trips are exact up to renaming.
 """
@@ -308,7 +307,6 @@ def pretty(t: NamedTerm) -> str:
 def encode(t: NamedTerm, sig: OlSig = DEFAULT_SIG) -> Expr:
     c_app, c_lam = Con(sig.c_app), Con(sig.c_lam)  # names OlSig has checked
     env: dict[str, DbTerm] = {}  # bound name -> the innermost binder's argument
-    free: dict[int, DbTerm] = {}  # free index -> its one leaf
 
     # raw trees throughout; Expr wraps only what a LAM closure returns,
     # so every binder body still passes its properness check
@@ -322,11 +320,7 @@ def encode(t: NamedTerm, sig: OlSig = DEFAULT_SIG) -> Expr:
             except KeyError:
                 raise ValueError(f"unbound variable {t.name!r}") from None
         if cls is NFree:
-            # VAR's check, once per int index; True or 1.0 must not find 1's leaf
-            leaf = free.get(t.index) if type(t.index) is int else None
-            if leaf is None:
-                leaf = free[t.index] = VAR(t.index)._t
-            return leaf
+            return VAR(t.index)._t
         if cls is NLam:
             return App(c_lam, LAM(binder(t.name, t.body))._t)
         raise TypeError(f"not a named term: {t!r}")

@@ -98,7 +98,7 @@ class OpenTerm:
                     top = node.index
             elif cls not in _BODY_KINDS:
                 raise ValueError(f"not an open-term body: {node!r}")
-        if top >= self.arity:
+        if top >= 0 and top >= self.arity:  # compared only if a hole was seen
             raise ValueError(f"hole index {top} outside arity {self.arity}")
         if not level(0, self.body):
             raise ValueError("open-term body has dangling indices")
@@ -292,6 +292,6 @@ def _culprit_offset(text: str, body: Body, arity: int) -> int:
     leaves = [(node, depth) for node, depth in walk(body) if type(node) not in (App, Abs)]
     top = max((node.index for node, _ in leaves if type(node) is Hole), default=-1)
     m = next(m for m, (node, depth) in enumerate(leaves)
-             if (type(node) is Hole and node.index == top if top >= arity
+             if (type(node) is Hole and node.index == top if top >= 0 and top >= arity
                  else type(node) is Bnd and node.index >= depth))
     return _leaf_offset(text, m)

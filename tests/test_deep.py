@@ -110,7 +110,9 @@ def stack_safe(test):
                 tb = tb.tb_next
             code = tb.tb_frame.f_code
             where = f"{code.co_name} ({os.path.basename(code.co_filename)}:{tb.tb_lineno})"
-        # outside the handler, so that the error and its frames are gone
+            del tb  # with ``exc``, which the handler drops, the last hold on the frames
+        # outside the handler, so that the error and its frames are gone;
+        # pytrace=False keeps pytest from rendering this wrapper's frame
         pytest.fail(f"RecursionError in {where}: host recursion on a deep term", pytrace=False)
 
     return run

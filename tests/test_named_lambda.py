@@ -25,11 +25,7 @@ from hobind.named_lambda import (
     pretty,
     well_scoped,
 )
-from hobind.terms import Abs, App, Bnd, Con, ParseError, Var, walk
-
-
-def walk_leaves(t):
-    return [n for n, _ in walk(t) if type(n) not in (App, Abs)]
+from hobind.terms import Abs, App, Bnd, Con, ParseError, Var
 
 
 SHOWCASE = "fn x. fn y. (x y) #3"
@@ -166,13 +162,6 @@ class TestEncode:
     def test_sig_accepts_what_con_accepts(self, name):
         sig = OlSig(c_app="a", c_lam=name)
         assert to_db(encode(parse("fn x. x"), sig)) == App(to_db(CON(name)), Abs(Bnd(0)))
-
-    def test_repeated_free_variable_is_one_leaf(self):
-        t = to_db(encode(parse("#1 (fn x. x #1 #0) #1")))
-        leaves = [n for n in walk_leaves(t) if type(n) is Var]
-        assert [n.index for n in leaves] == [1, 1, 0, 1]
-        assert leaves[0] is leaves[1] is leaves[3] and leaves[2] is not leaves[0]
-        assert t == named_to_db(parse("#1 (fn x. x #1 #0) #1"))
 
     @pytest.mark.parametrize("index", [-1, True, 1.0, "1"])
     def test_bad_free_index_fails_at_every_occurrence(self, index):

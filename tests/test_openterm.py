@@ -26,6 +26,9 @@ VALIDATION = [
     (1, Hole(0), None),
     (2, App(Hole(1), Abs(App(Bnd(0), Hole(0)))), None),
     (1, Con("c"), None),
+    # with no hole, the arity is never compared
+    (-1, Con("c"), None),
+    (None, App(Con("c"), Abs(Bnd(0))), None),
     (1, Hole(1), "hole index 1 outside arity 1"),
     (0, Hole(0), "hole index 0 outside arity 0"),
     # the largest hole is reported, wherever it stands
@@ -261,3 +264,11 @@ class TestText:
 
         with pytest.raises(ParseError):
             from_text("(HOLE 1)", arity=1)
+
+    def test_hole_free_text_at_negative_arity(self):
+        from hobind.terms import ParseError
+
+        assert from_text("(CON c)", arity=-1) == OpenTerm(-1, Con("c"))
+        with pytest.raises(ParseError) as exc:
+            from_text("(APP (CON c) (BND 0))", arity=-1)
+        assert exc.value.position == len("(APP (CON c) ")
