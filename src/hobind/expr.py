@@ -6,6 +6,11 @@ Building terms (CON/VAR/APP/ERR) never looks inside arguments;
 *inspecting* them (equality, case split, export to the raw tree) raises
 ``ExoticUse`` when the term carries an opaque binder argument. That
 asymmetry is what makes non-syntactic closures detectable.
+
+The views ``cases`` returns are frozen slots dataclasses, built through
+their slot setters and sealed as the term nodes are. A non-``Expr``
+argument raises ``TypeError`` naming the operation, once reading its
+fields has failed.
 """
 
 from __future__ import annotations
@@ -89,11 +94,24 @@ class Expr:
 Binder1 = Callable[[Expr], Expr]
 
 
-def _transparent(e: Expr, op: str) -> DbTerm:
-    """The representation of ``e``, provided it carries no probes."""
-    if e._pids:
-        raise ExoticUse(e._pids, op)
+def _transparent(e: Expr, op: str, caller: str | None = None) -> DbTerm:
+    """The representation of ``e``, provided it carries no probes; for a
+    non-Expr, ``TypeError`` naming ``caller``, by default ``op``.
+    """
+    try:
+        pids = e._pids
+    except AttributeError:
+        raise _not_expr(caller or op, e) from None
+    if pids:
+        raise ExoticUse(pids, op)
     return e._t
+
+
+def _not_expr(op: str, *args: object) -> TypeError:
+    # built only once reading an argument's fields has failed, so the
+    # calls that get Expr values pay nothing for the check
+    bad = next(a for a in args if not isinstance(a, Expr))
+    return TypeError(f"{op} expects an Expr, got {type(bad).__name__}")
 
 
 def CON(name: str) -> Expr:
@@ -126,8 +144,6 @@ def ERR() -> Expr:
 
 def to_db(e: Expr) -> DbTerm:
     """Export the underlying de Bruijn tree. Injective; always proper."""
-    if not isinstance(e, Expr):
-        raise TypeError(f"to_db expects an Expr, got {type(e).__name__}")
     return _transparent(e, "to_db")
 
 
@@ -145,8 +161,12 @@ def expr_equal(e: Expr, f: Expr) -> bool:
     """Structural equality on the underlying proper representations."""
     # inspection of a pair: report probes from both sides at once, so an
     # enclosing binder can recognize its own argument in the exception
-    if e._pids or f._pids:
-        raise ExoticUse(e._pids | f._pids, "expr_equal")
+    try:
+        ep, fp = e._pids, f._pids
+    except AttributeError:
+        raise _not_expr("expr_equal", e, f) from None
+    if ep or fp:
+        raise ExoticUse(ep | fp, "expr_equal")
     return e._t == f._t
 
 
@@ -154,14 +174,28 @@ def expr_size(e: Expr) -> int:
     return size(_transparent(e, "expr_size"))
 
 
-@dataclass(frozen=True)
+@_sealed
+@dataclass(frozen=True, init=False, slots=True)
 class VCon:
     name: str
 
+    def __init__(self, name: str):
+        _vcon_name(self, name)
 
-@dataclass(frozen=True)
+
+(_vcon_name,) = _setters(VCon, "name")
+
+
+@_sealed
+@dataclass(frozen=True, init=False, slots=True)
 class VVar:
     index: int
+
+    def __init__(self, index: int):
+        _vvar_index(self, index)
+
+
+(_vvar_index,) = _setters(VVar, "index")
 
 
 @_sealed
@@ -178,16 +212,24 @@ class VApp:
 _vapp_left, _vapp_right = _setters(VApp, "left", "right")
 
 
-@dataclass(frozen=True)
+@_sealed
+@dataclass(frozen=True, slots=True)
 class VErr:
     pass
 
 
-@dataclass(frozen=True)
+@_sealed
+@dataclass(frozen=True, init=False, slots=True)
 class VLam:
     """Binder view: ``binder`` re-opens the body at any argument."""
 
     binder: Binder1
+
+    def __init__(self, binder: Binder1):
+        _vlam_binder(self, binder)
+
+
+(_vlam_binder,) = _setters(VLam, "binder")
 
 
 ExprView = Union[VCon, VVar, VApp, VErr, VLam]
@@ -207,7 +249,11 @@ def cases(e: Expr) -> ExprView:
         body = t.body
 
         def open_body(x: Expr) -> Expr:
-            return Expr(instantiate(body, 0, x._t))
+            try:
+                u = x._t
+            except AttributeError:
+                raise _not_expr("binder", x) from None
+            return Expr(instantiate(body, 0, u))
 
         return VLam(open_body)
     if cls is Con:

@@ -40,9 +40,9 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .binder import LAM
-from .expr import CON, VAR, Expr, VApp, VLam, cases, expr_equal, to_db
-from .terms import (App, Bnd, Con, DbTerm, ParseError, Var, _offset, _sealed, _setters,
-                    _tree_repr, fold)
+from .expr import CON, VAR, Expr, _not_expr, _transparent, to_db
+from .terms import (Abs, App, Bnd, Con, DbTerm, ParseError, Var, _offset, _sealed, _setters,
+                    _tree_repr, fold, instantiate)
 
 
 class NotInImage(Exception):
@@ -389,14 +389,19 @@ def alpha_eq(t: NamedTerm, u: NamedTerm) -> bool:
 
 
 def apply_binder(e: Expr, arg: Expr, sig: OlSig = DEFAULT_SIG) -> Expr:
-    """Apply an encoded abstraction: substitution is function application."""
-    view = cases(e)
-    if not isinstance(view, VApp) or not expr_equal(view.left, CON(sig.c_lam)):
+    """Apply an encoded abstraction: substitution is function application.
+    ``e`` is inspected once, as by ``cases`` (``ExoticUse`` names it).
+    """
+    t = _transparent(e, "cases", "apply_binder")
+    if type(t) is not App or type(t.left) is not Con or t.left.name != sig.c_lam:
         raise NotAnAbstraction("expected an encoded abstraction")
-    inner = cases(view.right)
-    if not isinstance(inner, VLam):
+    if type(t.right) is not Abs:
         raise NotAnAbstraction("abstraction head without a binder body")
-    return inner.binder(arg)
+    try:
+        u = arg._t
+    except AttributeError:
+        raise _not_expr("apply_binder", arg) from None
+    return Expr(instantiate(t.right.body, 0, u))
 
 
 # ---------------------------------------------------------------------------

@@ -29,18 +29,23 @@ Every node class here carries two cached fields, which ``App`` and
   other's is empty), the body's for ``Abs``, and one shared empty set
   for every other leaf.
 
-``App``, ``Abs``, ``Bnd`` (``lvl`` in a slot too) and ``Probe`` are frozen
-slots dataclasses whose ``__init__`` stores each field through its slot
-descriptor's setter, bound once at import, bypassing ``__setattr__``.
-``_sealed`` gives them a ``__setattr__`` and ``__delattr__`` that raise
+Every node class here is a frozen slots dataclass whose ``__init__``
+stores each field, cached ones included, through its slot descriptor's
+setter, bound once at import, bypassing ``__setattr__``. ``_sealed``
+gives them a ``__setattr__`` and ``__delattr__`` that raise
 ``FrozenInstanceError`` for every name, field or not.
 
 A leaf added by another layer (the open-term ``Hole``) derives from
 ``_Leaf``, so it counts as level 0 with no probes. ``rewrite`` takes a
 ``keep`` predicate: an ``App`` or ``Abs`` for which ``keep(node,
-depth)`` holds is returned as it is, neither walked nor rebuilt. The substitutions keep every subtree whose
-cached fields show it has nothing to replace, so they return ``t``
-itself when it has nothing to replace at all.
+depth)`` holds is returned as it is, neither walked nor rebuilt.
+
+The substitutions (``instantiate``, ``bind_probe``, ``replace_probe``)
+share one explicit-stack kernel, not ``fold``. It enters a child only
+if the child's cached fields show a target in it (``p in child.pids``
+for ``Probe(p)``, ``child.lvl > j + k`` for ``Bnd(j + k)`` at depth
+``k``), so it walks just the paths to the targets, every leaf it reaches
+is one, and every other subtree is shared with the input.
 
 ``from_text`` splits the canonical text with ``str.split`` (parentheses
 padded with spaces) and parses the tokens in one loop. Tokens carry no
@@ -179,18 +184,32 @@ def _sealed(cls: type) -> type:
     return cls
 
 
-@dataclass(frozen=True)
+@_sealed
+@dataclass(frozen=True, init=False, slots=True)
 class Con(_Leaf):
     """Object-language constant."""
 
     name: str
 
+    def __init__(self, name: str):
+        _con_name(self, name)
 
-@dataclass(frozen=True)
+
+(_con_name,) = _setters(Con, "name")
+
+
+@_sealed
+@dataclass(frozen=True, init=False, slots=True)
 class Var(_Leaf):
     """Free variable, numbered."""
 
     index: int
+
+    def __init__(self, index: int):
+        _var_index(self, index)
+
+
+(_var_index,) = _setters(Var, "index")
 
 
 @_sealed
@@ -212,7 +231,8 @@ class App(_Inner):
 _app_left, _app_right, _app_lvl, _app_pids = _setters(App, "left", "right", "lvl", "pids")
 
 
-@dataclass(frozen=True)
+@_sealed
+@dataclass(frozen=True, slots=True)
 class Err(_Leaf):
     """Placeholder produced when binding a non-syntactic closure."""
 
@@ -300,8 +320,9 @@ def walk(t: DbTerm) -> Iterator[tuple[DbTerm, int]]:
                 break
 
 
-# markers on fold's stack (an App whose right child is being folded, an
-# Abs whose body is) and on the parser's (an App or Abs still open)
+# markers on the stacks of fold and _substitute (an App whose right child
+# is being folded or rewritten, an Abs whose body is) and on the parser's
+# (an App or Abs still open)
 _APP, _ABS = object(), object()
 
 
@@ -383,19 +404,16 @@ def size(t: DbTerm) -> int:
 def instantiate(t: DbTerm, j: int, u: DbTerm) -> DbTerm:
     """Replace each occurrence of Bnd(j+k) at Abs-depth k in ``t`` by ``u``.
 
-    ``u`` must be proper, so no index shifting is ever required. Subtrees
-    with no such occurrence are shared with ``t``.
+    ``j`` must be natural and ``u`` proper, so no index shifting is ever
+    required. Subtrees with no such occurrence are shared with ``t``.
     """
     if not level(j + 1, t):
         raise PreconditionViolated(f"instantiate: term is not at level {j + 1}")
     if not proper(u):
         raise PreconditionViolated("instantiate: replacement has dangling indices")
-
-    def leaf(node: DbTerm, depth: int) -> DbTerm:
-        return u if type(node) is Bnd and node.index == j + depth else node
-
-    # at level j + 1, a subtree at depth k holds Bnd(j+k) iff its level exceeds j + k
-    return rewrite(t, leaf, lambda node, depth: node.lvl <= j + depth)
+    if j < 0:
+        raise PreconditionViolated(f"instantiate: negative index {j}")
+    return _substitute(t, None, j, u)
 
 
 _probe_counter = itertools.count()
@@ -410,26 +428,65 @@ def fresh_probe() -> ProbeId:
     return next(_probe_counter)
 
 
-def _lacks_probe(p: ProbeId) -> Callable[[DbTerm, int], bool]:
-    return lambda node, depth: p not in node.pids
-
-
 def bind_probe(t: DbTerm, p: ProbeId, i: int) -> DbTerm:
     """Turn Probe(p) at Abs-depth k into Bnd(i+k); leave everything else."""
-
-    def leaf(node: DbTerm, depth: int) -> DbTerm:
-        return Bnd(i + depth) if type(node) is Probe and node.pid == p else node
-
-    return rewrite(t, leaf, _lacks_probe(p))
+    return _substitute(t, p, i, None)
 
 
 def replace_probe(t: DbTerm, p: ProbeId, u: DbTerm) -> DbTerm:
     """Plain node substitution of ``u`` for Probe(p); no depth accounting."""
+    return _substitute(t, p, 0, u)
 
-    def leaf(node: DbTerm, depth: int) -> DbTerm:
-        return u if type(node) is Probe and node.pid == p else node
 
-    return rewrite(t, leaf, _lacks_probe(p))
+def _substitute(t: DbTerm, p: Optional[ProbeId], j: int, u: Optional[DbTerm]) -> DbTerm:
+    """``t`` with each target, Probe(p) or, if ``p`` is None, Bnd(j+k) at
+    Abs-depth k (``t`` at level j + 1, ``j`` natural), replaced by ``u``,
+    or by Bnd(j+k) if ``u`` is None; ``t`` itself when it has no target.
+    """
+    if (p not in t.pids) if p is not None else (t.lvl <= j):
+        return t
+    # open nodes, innermost last: an App whose left child holds a target
+    # while that child is rewritten; _APP on top of a left child, new or
+    # kept, while the right one is; _ABS
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    node, depth = t, 0
+    while True:
+        while True:  # down the path to the next target
+            cls = type(node)
+            if cls is App:
+                left = node.left
+                if (p in left.pids) if p is not None else (left.lvl > j + depth):
+                    push(node)
+                    node = left
+                else:  # so the right one holds it
+                    push(left)
+                    push(_APP)
+                    node = node.right
+            elif cls is Abs:  # the body holds a target exactly when the Abs does
+                push(_ABS)
+                node = node.body
+                depth += 1
+            else:
+                out = u if u is not None else Bnd(j + depth)
+                break
+        while stack:  # up, rebuilding, until a right child holds a target
+            top = pop()
+            if top is _APP:
+                out = App(pop(), out)
+            elif top is _ABS:
+                depth -= 1
+                out = Abs(out)
+            else:  # an App whose left child is rewritten
+                right = top.right
+                if (p in right.pids) if p is not None else (right.lvl > j + depth):
+                    push(out)
+                    push(_APP)
+                    node = right
+                    break
+                out = App(out, right)
+        else:
+            return out
 
 
 def probe_ids(t: DbTerm) -> frozenset[ProbeId]:

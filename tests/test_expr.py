@@ -21,6 +21,7 @@ from hobind.expr import (
     to_db,
 )
 from hobind.binder import LAM, abstr, lbind
+from hobind.named_lambda import apply_binder, encode, parse
 from hobind.terms import (
     Abs,
     App,
@@ -230,3 +231,31 @@ def test_exotic_use_names_its_operation():
         with pytest.raises(ExoticUse) as exc:
             call()
         assert exc.value.op == op
+
+
+ABSTRACTION = encode(parse("fn x. x"))
+OPENED = cases(LAM(lambda x: x)).binder
+
+
+# (operation named in the message, call of it on a value that is not an Expr)
+NOT_EXPR = [
+    ("cases", lambda bad: cases(bad)),
+    ("expr_equal", lambda bad: expr_equal(bad, VAR(0))),
+    ("expr_equal", lambda bad: expr_equal(VAR(0), bad)),
+    ("expr_size", lambda bad: expr_size(bad)),
+    ("pretty", lambda bad: pretty(bad)),
+    ("apply_binder", lambda bad: apply_binder(bad, VAR(0))),
+    ("apply_binder", lambda bad: apply_binder(ABSTRACTION, bad)),
+    ("binder", lambda bad: OPENED(bad)),
+    ("APP", lambda bad: APP(bad, VAR(0))),
+    ("APP", lambda bad: APP(VAR(0), bad)),
+    ("to_db", lambda bad: to_db(bad)),
+]
+
+
+@pytest.mark.parametrize("op,call", NOT_EXPR, ids=[op for op, _ in NOT_EXPR])
+@pytest.mark.parametrize("bad", [5, None, "c", Con("c"), App(Var(0), Var(1))],
+                         ids=lambda bad: type(bad).__name__)
+def test_non_expr_argument_is_a_type_error(op, call, bad):
+    with pytest.raises(TypeError, match=rf"^{op} expects "):
+        call(bad)

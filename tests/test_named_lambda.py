@@ -6,7 +6,7 @@ from oracles import encode_reference, named_to_db, subst_named
 
 from hobind import binder
 from hobind.binder import LAM, abstr
-from hobind.expr import APP, CON, ERR, VAR, cases, expr_equal, to_db, VApp, VLam
+from hobind.expr import APP, CON, ERR, VAR, ExoticUse, cases, expr_equal, to_db, VApp, VLam
 from hobind.named_lambda import (
     NApp,
     NFree,
@@ -25,7 +25,7 @@ from hobind.named_lambda import (
     pretty,
     well_scoped,
 )
-from hobind.terms import Abs, App, Bnd, Con, ParseError, Var
+from hobind.terms import Abs, App, Bnd, Con, Err, ParseError, Var
 
 
 SHOWCASE = "fn x. fn y. (x y) #3"
@@ -307,10 +307,52 @@ class TestApplyBinder:
         assert expr_equal(e, encode(parse("fn y. #4")))
 
     def test_not_an_abstraction(self):
+        for e in [
+            VAR(0),
+            APP(CON("c_app"), VAR(0)),  # headed by the application constant
+            APP(APP(CON("c_app"), encode(parse("fn x. x"))), VAR(1)),
+            APP(CON("c_lam"), ERR()),  # the abstraction constant with no binder
+            APP(CON("c_lam"), VAR(0)),
+            APP(CON("c_lam"), CON("c_lam")),
+            CON("c_lam"),
+            LAM(lambda x: x),  # a binder, but not an encoded abstraction
+        ]:
+            with pytest.raises(NotAnAbstraction):
+                apply_binder(e, VAR(1))
+
+    def test_enclosing_binders_probe_is_inspected_by_cases(self):
+        # ``e`` is an enclosing binder's argument: the inspection names
+        # ``cases`` and that argument's probe, and the enclosing binder
+        # gets the exception, not the inner one
+        seen = []
+
+        def outer(x):
+            def inner(y):
+                with pytest.raises(ExoticUse) as exc:
+                    apply_binder(x, y)
+                seen.append((exc.value.pids == x._pids, exc.value.op))
+                return apply_binder(x, y)
+
+            return LAM(inner)
+
+        assert to_db(LAM(outer)) == Err()
+        assert seen == [(True, "cases")]
+        assert not abstr(lambda x: apply_binder(x, VAR(0)))
+
+    def test_probe_carrying_argument_stays_syntactic(self):
+        f = encode(parse("fn y. #2 y (fn z. y z)"))
+        assert abstr(lambda x: apply_binder(f, x))
+        e = APP(CON("c_lam"), LAM(lambda x: apply_binder(f, x)))
+        assert expr_equal(e, encode(parse("fn x. #2 x (fn z. x z)")))
+
+    def test_custom_signature(self):
+        sig = OlSig(c_app="ap", c_lam="lm")
+        f = encode(parse("fn x. x #1"), sig)
+        assert expr_equal(apply_binder(f, VAR(9), sig), APP(APP(CON("ap"), VAR(9)), VAR(1)))
         with pytest.raises(NotAnAbstraction):
-            apply_binder(VAR(0), VAR(1))
+            apply_binder(f, VAR(9))  # the default signature's c_lam heads nothing
         with pytest.raises(NotAnAbstraction):
-            apply_binder(APP(CON("c_lam"), ERR()), VAR(1))
+            apply_binder(encode(parse("fn x. x")), VAR(9), sig)
 
     def test_usable_inside_binder_bodies(self):
         # substitution by application composes with new bindings, as long
