@@ -7,15 +7,13 @@ Building terms (CON/VAR/APP/ERR) never looks inside arguments;
 ``ExoticUse`` when the term carries an opaque binder argument. That
 asymmetry is what makes non-syntactic closures detectable.
 
-The views ``cases`` returns are frozen slots dataclasses, built through
-their slot setters and sealed as the term nodes are. A non-``Expr``
-argument raises ``TypeError`` naming the operation, once reading its
-fields has failed.
+The views ``cases`` returns are declared with ``terms._node``, as the
+term nodes are. A non-``Expr`` argument raises ``TypeError`` naming the
+operation, once reading its fields has failed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Union
 
 from .terms import (
@@ -29,8 +27,7 @@ from .terms import (
     Var,
     _ATOM,
     _render,
-    _sealed,
-    _setters,
+    _node,
     instantiate,
     level,
     probe_ids,
@@ -174,62 +171,32 @@ def expr_size(e: Expr) -> int:
     return size(_transparent(e, "expr_size"))
 
 
-@_sealed
-@dataclass(frozen=True, init=False, slots=True)
+@_node
 class VCon:
     name: str
 
-    def __init__(self, name: str):
-        _vcon_name(self, name)
 
-
-(_vcon_name,) = _setters(VCon, "name")
-
-
-@_sealed
-@dataclass(frozen=True, init=False, slots=True)
+@_node
 class VVar:
     index: int
 
-    def __init__(self, index: int):
-        _vvar_index(self, index)
 
-
-(_vvar_index,) = _setters(VVar, "index")
-
-
-@_sealed
-@dataclass(frozen=True, init=False, slots=True)
+@_node
 class VApp:
     left: Expr
     right: Expr
 
-    def __init__(self, left: Expr, right: Expr):
-        _vapp_left(self, left)
-        _vapp_right(self, right)
 
-
-_vapp_left, _vapp_right = _setters(VApp, "left", "right")
-
-
-@_sealed
-@dataclass(frozen=True, slots=True)
+@_node
 class VErr:
     pass
 
 
-@_sealed
-@dataclass(frozen=True, init=False, slots=True)
+@_node
 class VLam:
     """Binder view: ``binder`` re-opens the body at any argument."""
 
     binder: Binder1
-
-    def __init__(self, binder: Binder1):
-        _vlam_binder(self, binder)
-
-
-(_vlam_binder,) = _setters(VLam, "binder")
 
 
 ExprView = Union[VCon, VVar, VApp, VErr, VLam]

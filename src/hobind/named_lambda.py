@@ -41,7 +41,7 @@ from typing import Iterator, Union
 
 from .binder import LAM
 from .expr import CON, VAR, Expr, _not_expr, _transparent, to_db
-from .terms import (Abs, App, Bnd, Con, DbTerm, ParseError, Var, _offset, _sealed, _setters,
+from .terms import (Abs, App, Bnd, Con, DbTerm, ParseError, Var, _node, _offset,
                     _tree_repr, fold, instantiate)
 
 
@@ -91,54 +91,32 @@ class _Compound:
         return _tree_repr(self, _COMPOUND_REPR)
 
 
-@_sealed
-@dataclass(frozen=True, init=False, slots=True)
+@_node
 class NVar:
     """Occurrence of a named bound variable."""
 
     name: str
 
-    def __init__(self, name: str):
-        _nvar_name(self, name)
 
-
-@_sealed
-@dataclass(frozen=True, init=False, slots=True)
+@_node
 class NFree:
     """Free variable, numbered."""
 
     index: int
 
-    def __init__(self, index: int):
-        _nfree_index(self, index)
 
-
-@_sealed
-@dataclass(frozen=True, eq=False, repr=False, init=False, slots=True)
+@_node(eq=False, repr=False)
 class NLam(_Compound):
     name: str
     body: "NamedTerm"
 
-    def __init__(self, name: str, body: "NamedTerm"):
-        _nlam_name(self, name)
-        _nlam_body(self, body)
 
-
-@_sealed
-@dataclass(frozen=True, eq=False, repr=False, init=False, slots=True)
+@_node(eq=False, repr=False)
 class NApp(_Compound):
     left: "NamedTerm"
     right: "NamedTerm"
 
-    def __init__(self, left: "NamedTerm", right: "NamedTerm"):
-        _napp_left(self, left)
-        _napp_right(self, right)
 
-
-(_nvar_name,) = _setters(NVar, "name")
-(_nfree_index,) = _setters(NFree, "index")
-_nlam_name, _nlam_body = _setters(NLam, "name", "body")
-_napp_left, _napp_right = _setters(NApp, "left", "right")
 _COMPOUND_REPR = {NLam: ("name", "body"), NApp: ("left", "right")}
 
 

@@ -48,6 +48,7 @@ from .terms import (
     _Leaf,
     _db_text,
     _leaf_offset,
+    _node,
     _parse_sexpr,
     _render,
     level,
@@ -66,7 +67,7 @@ class ExoticFunction(Exception):
     """A non-syntactic closure has no open-term representation."""
 
 
-@dataclass(frozen=True)
+@_node
 class Hole(_Leaf):
     """Placeholder for argument ``index`` of the reflected closure."""
 

@@ -11,11 +11,10 @@ so has no depth limit. ``walk(t)`` yields ``(node, depth)`` for each node
 in pre-order (parents first, left before right). ``fold(t, leaf, app,
 abs_)`` combines bottom-up: ``leaf(node, depth)`` at each leaf, then
 ``app(left, right)`` and ``abs_(body, depth)`` on the children's results;
-``rewrite(t, leaf, keep)`` is the fold that rebuilds App/Abs around new
-leaves. ``depth`` counts the ``Abs`` nodes strictly above a node, so
-``Bnd(i)`` at depth ``d`` dangles exactly when ``i >= d``. Whatever is
-neither ``App`` nor ``Abs`` is a leaf, so other layers can add leaves
-(open-term holes).
+``rewrite(t, leaf)`` is the fold that rebuilds App/Abs around new leaves.
+``depth`` counts the ``Abs`` nodes strictly above a node, so ``Bnd(i)``
+at depth ``d`` dangles exactly when ``i >= d``. Whatever is neither
+``App`` nor ``Abs`` is a leaf, so other layers can add leaves.
 
 Every node class here carries two cached fields, which ``App`` and
 ``Abs`` compute from their children when built, in O(1):
@@ -29,16 +28,14 @@ Every node class here carries two cached fields, which ``App`` and
   other's is empty), the body's for ``Abs``, and one shared empty set
   for every other leaf.
 
-Every node class here is a frozen slots dataclass whose ``__init__``
-stores each field, cached ones included, through its slot descriptor's
-setter, bound once at import, bypassing ``__setattr__``. ``_sealed``
-gives them a ``__setattr__`` and ``__delattr__`` that raise
-``FrozenInstanceError`` for every name, field or not.
+Every node class here, and every view and named term in other layers,
+is declared with ``_node``: a frozen slots dataclass that refuses every
+assignment and deletion with ``FrozenInstanceError`` and whose
+``__init__`` stores each field through its slot descriptor's setter.
+``Bnd(i)`` and ``Var(i)`` refuse a negative ``i`` with ``ValueError``.
 
 A leaf added by another layer (the open-term ``Hole``) derives from
-``_Leaf``, so it counts as level 0 with no probes. ``rewrite`` takes a
-``keep`` predicate: an ``App`` or ``Abs`` for which ``keep(node,
-depth)`` holds is returned as it is, neither walked nor rebuilt.
+``_Leaf``, so it counts as level 0 with no probes.
 
 The substitutions (``instantiate``, ``bind_probe``, ``replace_probe``)
 share one explicit-stack kernel, not ``fold``. It enters a child only
@@ -174,46 +171,54 @@ def _refuse(self, name: str, *value):
     raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
 
 
-def _sealed(cls: type) -> type:
-    """``cls``, a frozen slots dataclass, refusing every assignment and
-    deletion with ``FrozenInstanceError``. The generated ``__setattr__``
-    and ``__delattr__`` raise ``TypeError`` for a name that is not a
-    field, as they refer to the class before slots were added.
+def _node(cls: Optional[type] = None, /, **options):
+    """``cls`` as a frozen slots ``dataclass`` (given ``options``) that
+    refuses every assignment and deletion. Unless ``cls`` defines its own
+    (to derive a field), an ``__init__`` is generated, as ``dataclasses``
+    does, that takes every field and stores it through its slot's setter.
     """
+    if cls is None:
+        return lambda cls: _node(cls, **options)
+    names = list(cls.__annotations__)
+    scope = {"__name__": cls.__module__}  # the generated __init__'s globals
+    # generated before dataclass runs, which derives a missing docstring from it
+    if "__init__" not in cls.__dict__:
+        stores = "".join(f" _set_{n}(self, {n})\n" for n in names)
+        exec(f"def __init__({', '.join(['self', *names])}):\n{stores} pass", scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__annotations__ = dict(cls.__annotations__)
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    # the dataclass's own __setattr__ and __delattr__ would raise TypeError
+    # for a name that is not a field: they refer to the class before slots
+    cls = dataclass(frozen=True, init=False, slots=True, **options)(cls)
+    scope.update(zip([f"_set_{n}" for n in names], _setters(cls, *names)))
     cls.__setattr__ = cls.__delattr__ = _refuse
     return cls
 
 
-@_sealed
-@dataclass(frozen=True, init=False, slots=True)
+@_node
 class Con(_Leaf):
     """Object-language constant."""
 
     name: str
 
-    def __init__(self, name: str):
-        _con_name(self, name)
 
-
-(_con_name,) = _setters(Con, "name")
-
-
-@_sealed
-@dataclass(frozen=True, init=False, slots=True)
+@_node
 class Var(_Leaf):
     """Free variable, numbered."""
 
     index: int
 
     def __init__(self, index: int):
+        if index < 0:
+            raise ValueError(f"negative variable number {index}")
         _var_index(self, index)
 
 
 (_var_index,) = _setters(Var, "index")
 
 
-@_sealed
-@dataclass(frozen=True, eq=False, repr=False, init=False, slots=True)
+@_node(eq=False, repr=False)
 class App(_Inner):
     left: "DbTerm"
     right: "DbTerm"
@@ -231,14 +236,12 @@ class App(_Inner):
 _app_left, _app_right, _app_lvl, _app_pids = _setters(App, "left", "right", "lvl", "pids")
 
 
-@_sealed
-@dataclass(frozen=True, slots=True)
+@_node
 class Err(_Leaf):
     """Placeholder produced when binding a non-syntactic closure."""
 
 
-@_sealed
-@dataclass(frozen=True, init=False, slots=True)
+@_node
 class Bnd(_Leaf):
     """Bound variable: back reference into enclosing Abs nodes."""
 
@@ -246,6 +249,8 @@ class Bnd(_Leaf):
     lvl: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, index: int):
+        if index < 0:
+            raise ValueError(f"negative index {index}")
         _bnd_index(self, index)
         _bnd_lvl(self, index + 1)
 
@@ -253,8 +258,7 @@ class Bnd(_Leaf):
 _bnd_index, _bnd_lvl = _setters(Bnd, "index", "lvl")
 
 
-@_sealed
-@dataclass(frozen=True, eq=False, repr=False, init=False, slots=True)
+@_node(eq=False, repr=False)
 class Abs(_Inner):
     """Nameless binder."""
 
@@ -274,8 +278,7 @@ _abs_body, _abs_lvl, _abs_pids = _setters(Abs, "body", "lvl", "pids")
 _INNER_REPR = {App: ("left", "right"), Abs: ("body",)}
 
 
-@_sealed
-@dataclass(frozen=True, init=False, slots=True)
+@_node
 class Probe(_Leaf):
     """Internal: opaque stand-in for a binder argument.
 
@@ -326,11 +329,9 @@ def walk(t: DbTerm) -> Iterator[tuple[DbTerm, int]]:
 _APP, _ABS = object(), object()
 
 
-def fold(t: DbTerm, leaf: Callable, app: Callable, abs_: Callable,
-         keep: Optional[Callable[[DbTerm, int], bool]] = None):
+def fold(t: DbTerm, leaf: Callable, app: Callable, abs_: Callable):
     """Post-order fold: ``leaf(node, depth)`` at leaves, ``app(l, r)`` and
-    ``abs_(b, depth)`` on the children's results. An App or Abs for which
-    ``keep(node, depth)`` holds is not entered: its result is the node.
+    ``abs_(b, depth)`` on the children's results.
     """
     # open nodes, innermost last: an App whose left child is being folded,
     # _APP on top of the left child's result while the right one is, or
@@ -343,9 +344,6 @@ def fold(t: DbTerm, leaf: Callable, app: Callable, abs_: Callable,
             cls = type(node)
             if cls is not App and cls is not Abs:
                 out = leaf(node, depth)
-                break
-            if keep is not None and keep(node, depth):
-                out = node
                 break
             if cls is App:
                 push(node)
@@ -370,13 +368,9 @@ def fold(t: DbTerm, leaf: Callable, app: Callable, abs_: Callable,
             return out
 
 
-def rewrite(t: DbTerm, leaf: Callable[[DbTerm, int], DbTerm],
-            keep: Optional[Callable[[DbTerm, int], bool]] = None) -> DbTerm:
-    """``t`` with every leaf replaced by ``leaf(node, depth)``, except in
-    App/Abs subtrees for which ``keep(node, depth)`` holds: those are
-    returned as they are.
-    """
-    return fold(t, leaf, App, _rebuild_abs, keep)
+def rewrite(t: DbTerm, leaf: Callable[[DbTerm, int], DbTerm]) -> DbTerm:
+    """``t`` with every leaf replaced by ``leaf(node, depth)``."""
+    return fold(t, leaf, App, _rebuild_abs)
 
 
 def _rebuild_abs(body: DbTerm, depth: int) -> DbTerm:

@@ -11,7 +11,7 @@ from hobind.binder import LAM
 from hobind.expr import APP, CON, VAR
 from hobind.named_lambda import NApp, NFree, NLam, NVar
 from hobind.terms import (Abs, App, Bnd, Con, Err, ParseError, PreconditionViolated, Probe, Var,
-                          level, proper, rewrite)
+                          level, proper)
 
 
 def named_to_db(t, c_app="c_app", c_lam="c_lam"):
@@ -142,12 +142,16 @@ def fold_recursive(t, leaf, app, abs_, keep=None, depth=0):
     return abs_(fold_recursive(t.body, leaf, app, abs_, keep, depth + 1), depth)
 
 
-# The three substitutions as they were when they went through ``rewrite``:
-# a ``keep`` predicate reads the cached fields at every node reached, and a
-# leaf callback tests every leaf reached.
+# The three substitutions as rebuilding folds: a ``keep`` predicate reads
+# the cached fields at every node reached, and a leaf callback tests every
+# leaf reached.
+
+def _rewrite(t, leaf, keep):
+    return fold_recursive(t, leaf, App, lambda body, depth: Abs(body), keep)
+
 
 def instantiate_fold(t, j, u):
-    """``terms.instantiate`` as a ``rewrite``."""
+    """``terms.instantiate`` as a fold that skips subtrees with no target."""
     if not level(j + 1, t):
         raise PreconditionViolated(f"instantiate: term is not at level {j + 1}")
     if not proper(u):
@@ -157,7 +161,7 @@ def instantiate_fold(t, j, u):
         return u if type(node) is Bnd and node.index == j + depth else node
 
     # at level j + 1, a subtree at depth k holds Bnd(j+k) iff its level exceeds j + k
-    return rewrite(t, leaf, lambda node, depth: node.lvl <= j + depth)
+    return _rewrite(t, leaf, lambda node, depth: node.lvl <= j + depth)
 
 
 def _lacks_probe(p):
@@ -165,21 +169,21 @@ def _lacks_probe(p):
 
 
 def bind_probe_fold(t, p, i):
-    """``terms.bind_probe`` as a ``rewrite``."""
+    """``terms.bind_probe`` as a fold that skips subtrees with no target."""
 
     def leaf(node, depth):
         return Bnd(i + depth) if type(node) is Probe and node.pid == p else node
 
-    return rewrite(t, leaf, _lacks_probe(p))
+    return _rewrite(t, leaf, _lacks_probe(p))
 
 
 def replace_probe_fold(t, p, u):
-    """``terms.replace_probe`` as a ``rewrite``."""
+    """``terms.replace_probe`` as a fold that skips subtrees with no target."""
 
     def leaf(node, depth):
         return u if type(node) is Probe and node.pid == p else node
 
-    return rewrite(t, leaf, _lacks_probe(p))
+    return _rewrite(t, leaf, _lacks_probe(p))
 
 
 # The canonical-text reader as it was before it scanned with a regular

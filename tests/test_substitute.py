@@ -1,6 +1,6 @@
 """The kernel behind ``instantiate``, ``bind_probe`` and ``replace_probe``.
 
-Its results are checked against the ``rewrite``-based references in
+Its results are checked against the fold-based references in
 ``oracles``: equal terms, and the same subtrees of the input shared. Its
 work is checked without timing: on a balanced tree it builds new nodes
 exactly along the path to its one target.

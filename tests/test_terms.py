@@ -1,8 +1,18 @@
+import dataclasses
+import inspect
 import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
+import hobind.expr
+import hobind.named_lambda
+import hobind.openterm
+import hobind.terms
+from hobind.binder import lbind
+from hobind.expr import CON, VAR, VApp, VCon, VErr, VLam, VVar
+from hobind.named_lambda import NApp, NFree, NLam, NVar
+from hobind.openterm import Hole
 from oracles import preorder
 from hobind.terms import (
     Abs,
@@ -15,6 +25,7 @@ from hobind.terms import (
     Probe,
     Var,
     _Leaf,
+    _refuse,
     bind_probe,
     contains_any_probe,
     contains_probe,
@@ -279,3 +290,65 @@ class TestEquality:
     def test_cached_fields_decide_before_children(self):
         assert App(Unreadable(), Bnd(3)) != App(Unreadable(), Bnd(2))
         assert Abs(App(Unreadable(), Probe(1))) != Abs(App(Unreadable(), Probe(2)))
+
+
+class TestNegativeIndices:
+    """Indices are naturals, as ``VAR`` and the text reader require."""
+
+    @pytest.mark.parametrize("make", [Bnd, Var])
+    def test_refused_at_construction(self, make):
+        for index in (-1, -3):
+            with pytest.raises(ValueError, match="negative"):
+                make(index)
+        assert make(0).index == 0
+
+    def test_binding_at_a_negative_index(self):
+        p = fresh_probe()
+        with pytest.raises(ValueError, match="negative"):
+            bind_probe(App(Probe(p), C1), p, -1)
+        with pytest.raises(ValueError, match="negative"):
+            lbind(-2, lambda x: x)
+        # no occurrence of the probe: nothing is built
+        assert lbind(-2, lambda x: CON("c")) == Con("c")
+
+
+# every ``_node`` class, with one positional argument tuple
+CONSTRUCTORS = [
+    (Con, ("c",)), (Var, (1,)), (App, (C1, Bnd(0))), (Err, ()), (Bnd, (2,)),
+    (Abs, (Bnd(0),)), (Probe, (5,)), (Hole, (0,)),
+    (VCon, ("c",)), (VVar, (1,)), (VApp, (CON("a"), VAR(0))), (VErr, ()), (VLam, (lambda x: x,)),
+    (NVar, ("x",)), (NFree, (1,)), (NLam, ("x", NVar("x"))), (NApp, (NFree(0), NVar("y"))),
+]
+
+
+@pytest.mark.parametrize("cls,args", CONSTRUCTORS, ids=[cls.__name__ for cls, _ in CONSTRUCTORS])
+class TestConstructors:
+    def test_signature_is_the_init_fields(self, cls, args):
+        init_fields = [f.name for f in dataclasses.fields(cls) if f.init]
+        assert list(inspect.signature(cls).parameters) == init_fields
+        assert len(args) == len(init_fields)
+
+    def test_keywords_equal_positions(self, cls, args):
+        names = list(inspect.signature(cls).parameters)
+        assert cls(**dict(zip(names, args))) == cls(*args)
+        assert [getattr(cls(*args), n) for n in names] == list(args)
+        with pytest.raises(TypeError):
+            cls(*args, None)
+
+    def test_init_is_named_for_its_class(self, cls, args):
+        assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+        assert cls.__init__.__module__ == cls.__module__
+
+
+def test_every_node_class_is_listed():
+    modules = (hobind.terms, hobind.expr, hobind.named_lambda, hobind.openterm)
+    found = {v for m in modules for v in vars(m).values()
+             if isinstance(v, type) and v.__setattr__ is _refuse}
+    assert found == {cls for cls, _ in CONSTRUCTORS}
+
+
+def test_derived_docstrings_show_the_fields():
+    # dataclass writes a missing docstring from the __init__ it finds, so the
+    # generated one must be in place, annotations included, before it runs
+    assert VCon.__doc__ == "VCon(name: 'str')" and VErr.__doc__ == "VErr()"
+    assert VApp.__doc__ == "VApp(left: 'Expr', right: 'Expr')"
