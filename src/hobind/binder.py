@@ -112,8 +112,8 @@ def _session(fn, arity: int = 1) -> tuple[tuple[ProbeId, ...], DbTerm | None]:
 
 
 def lbind(i: int, fn: Binder1) -> DbTerm:
-    """Convert the closure's argument into the dangling index ``i``,
-    incremented under each binder node of the body.
+    """Convert the closure's argument into the dangling index ``i`` (a
+    natural), incremented under each binder node of the body.
     """
     p = fresh_probe()
     body = _probed(fn, (p,))

@@ -26,12 +26,12 @@ from .terms import (
     ProbeId,
     Var,
     _ATOM,
-    _render,
     _node,
     instantiate,
     level,
     probe_ids,
     size,
+    walk,
 )
 
 
@@ -230,6 +230,31 @@ def cases(e: Expr) -> ExprView:
     if cls is Err:
         return VErr()
     raise AssertionError(f"unreachable head in proper term: {t!r}")
+
+
+def _render(t: DbTerm, texts: Callable) -> str:
+    """Print ``t`` in one walk. ``texts(node, depth)`` gives a leaf's text,
+    or the strings written around the children of an App (before, between,
+    after) or of an Abs (before, after).
+    """
+    out: list[str] = []
+    owed: list = []  # strings due once the current subtree ends; None: stop
+    for node, depth in walk(t):
+        piece = texts(node, depth)
+        if type(piece) is str:
+            out.append(piece)
+            while owed:
+                text = owed.pop()
+                if text is None:  # a right sibling follows
+                    break
+                out.append(text)
+        else:
+            out.append(piece[0])
+            if type(node) is App:
+                owed += (piece[2], None, piece[1])
+            else:
+                owed.append(piece[1])
+    return "".join(out)
 
 
 def pretty(e: Expr) -> str:

@@ -27,7 +27,10 @@ Its closures share one environment: each binds its name on entry and
 restores the outer binding on exit. Each ``LAM`` evaluates its closure
 inside the enclosing one, so ``encode`` still recurses in the host.
 ``decode`` inverts the encoding with display names chosen by binder
-depth, so round trips are exact up to renaming.
+depth, so round trips are exact up to renaming. It matches the image's
+grammar, ``D ::= Var | Bnd | c_app $$ D $$ D | c_lam $$ Abs(D)``,
+top-down on one explicit stack and raises ``NotInImage`` at the first
+subtree outside it.
 """
 
 from __future__ import annotations
@@ -35,14 +38,13 @@ from __future__ import annotations
 import random
 import re
 import sys
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .binder import LAM
 from .expr import CON, VAR, Expr, _not_expr, _transparent, to_db
 from .terms import (Abs, App, Bnd, Con, DbTerm, ParseError, Var, _node, _offset,
-                    _tree_repr, fold, instantiate)
+                    _tree_repr, instantiate)
 
 
 class NotInImage(Exception):
@@ -121,7 +123,6 @@ _COMPOUND_REPR = {NLam: ("name", "body"), NApp: ("left", "right")}
 
 
 NamedTerm = Union[NVar, NFree, NLam, NApp]
-_NAMED = (NVar, NFree, NLam, NApp)
 
 
 @dataclass(frozen=True)
@@ -320,39 +321,43 @@ def encode(t: NamedTerm, sig: OlSig = DEFAULT_SIG) -> Expr:
     return Expr(go(t))
 
 
-# Besides named terms, ``decode`` folds subtrees to ``c_app $$ arg``
-# waiting for its second argument, to a binder waiting for ``c_lam``,
-# and to leaves that only an enclosing App can accept or reject.
-_AppHead = namedtuple("_AppHead", "arg")
-_Scope = namedtuple("_Scope", "name body")
-
-
 def decode(e: Expr, sig: OlSig = DEFAULT_SIG) -> NamedTerm:
     """Inverse of ``encode`` on its image; display names are x1, x2, ...
     by binder depth.
     """
-    def leaf(node: DbTerm, depth: int):
-        if type(node) is Var:
-            return NFree(node.index)
-        if type(node) is Bnd and node.index < depth:
-            return NVar(f"x{depth - node.index}")
-        return node
-
-    def app(left, right):
-        if (type(right) is _Scope and type(left) is Con and left.name == sig.c_lam
-                and isinstance(right.body, _NAMED)):
-            return NLam(right.name, right.body)
-        if isinstance(right, _NAMED):
-            if type(left) is Con and left.name == sig.c_app:
-                return _AppHead(right)
-            if type(left) is _AppHead:
-                return NApp(left.arg, right)
+    c_app, c_lam = sig.c_app, sig.c_lam
+    done: list = []  # decoded subterms, innermost last
+    # (node, depth) still to decode, NApp to join the last two decoded
+    # subterms, or a binder name to wrap the last one in NLam
+    todo: list = [(to_db(e), 0)]
+    pop = todo.pop
+    while todo:
+        item = pop()
+        if item is NApp:
+            right = done.pop()
+            done[-1] = NApp(done[-1], right)
+            continue
+        if type(item) is str:
+            done[-1] = NLam(item, done[-1])
+            continue
+        node, depth = item
+        cls = type(node)
+        if cls is App:  # c_app $$ l $$ r or c_lam $$ Abs(b)
+            left = node.left
+            if type(left) is App and type(left.left) is Con and left.left.name == c_app:
+                todo += (NApp, (node.right, depth), (left.right, depth))
+                continue
+            if type(left) is Con and left.name == c_lam and type(node.right) is Abs:
+                todo += (f"x{depth + 1}", (node.right.body, depth + 1))
+                continue
+        elif cls is Var:
+            done.append(NFree(node.index))
+            continue
+        elif cls is Bnd and node.index < depth:
+            done.append(NVar(f"x{depth - node.index}"))
+            continue
         raise NotInImage("term shape outside the encoding")
-
-    out = fold(to_db(e), leaf, app, lambda body, depth: _Scope(f"x{depth + 1}", body))
-    if not isinstance(out, _NAMED):
-        raise NotInImage("term shape outside the encoding")
-    return out
+    return done[0]
 
 
 def alpha_eq(t: NamedTerm, u: NamedTerm) -> bool:

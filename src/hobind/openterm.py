@@ -46,11 +46,10 @@ from .terms import (
     ParseError,
     Var,
     _Leaf,
-    _db_text,
     _leaf_offset,
     _node,
     _parse_sexpr,
-    _render,
+    _write_text,
     level,
     probe_ids,
     replace_probe,
@@ -271,10 +270,7 @@ def exotic_library(arity: int | None = None) -> list[tuple[str, Callable]]:
 # Textual form: the term grammar extended with (HOLE k).
 
 def to_text(ot: OpenTerm) -> str:
-    def texts(node: Body, depth: int):
-        return f"(HOLE {node.index})" if type(node) is Hole else _db_text(node, depth)
-
-    return _render(ot.body, texts)
+    return _write_text(ot.body, Hole)
 
 
 def from_text(text: str, arity: int = 1) -> OpenTerm:

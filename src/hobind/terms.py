@@ -6,12 +6,13 @@ nodes is *dangling*. ``Probe`` is an internal placeholder standing for a
 binder argument while a host closure is being converted to syntax; no
 term observable through a public operation ever contains one.
 
-Every whole-term operation goes through one explicit-stack traversal and
-so has no depth limit. ``walk(t)`` yields ``(node, depth)`` for each node
-in pre-order (parents first, left before right). ``fold(t, leaf, app,
-abs_)`` combines bottom-up: ``leaf(node, depth)`` at each leaf, then
-``app(left, right)`` and ``abs_(body, depth)`` on the children's results;
-``rewrite(t, leaf)`` is the fold that rebuilds App/Abs around new leaves.
+Every whole-term operation runs on an explicit stack and so has no
+depth limit; most go through one traversal. ``walk(t)`` yields ``(node,
+depth)`` for each node in pre-order (parents first, left before right).
+``fold(t, leaf, app, abs_)`` combines bottom-up: ``leaf(node, depth)``
+at each leaf, then ``app(left, right)`` and ``abs_(body, depth)`` on the
+children's results; ``rewrite(t, leaf)`` is the fold that rebuilds
+App/Abs around new leaves.
 ``depth`` counts the ``Abs`` nodes strictly above a node, so ``Bnd(i)``
 at depth ``d`` dangles exactly when ``i >= d``. Whatever is neither
 ``App`` nor ``Abs`` is a leaf, so other layers can add leaves.
@@ -43,6 +44,10 @@ if the child's cached fields show a target in it (``p in child.pids``
 for ``Probe(p)``, ``child.lvl > j + k`` for ``Bnd(j + k)`` at depth
 ``k``), so it walks just the paths to the targets, every leaf it reaches
 is one, and every other subtree is shared with the input.
+
+``to_text`` writes the canonical text in one pre-order loop of its own,
+with no callback per node; ``openterm.to_text`` is the same writer with
+``Hole`` as its one extra leaf.
 
 ``from_text`` splits the canonical text with ``str.split`` (parentheses
 padded with spaces) and parses the tokens in one loop. Tokens carry no
@@ -423,7 +428,9 @@ def fresh_probe() -> ProbeId:
 
 
 def bind_probe(t: DbTerm, p: ProbeId, i: int) -> DbTerm:
-    """Turn Probe(p) at Abs-depth k into Bnd(i+k); leave everything else."""
+    """Turn Probe(p) at Abs-depth k into Bnd(i+k), ``i`` natural; leave everything else."""
+    if i < 0:
+        raise PreconditionViolated(f"bind_probe: negative index {i}")
     return _substitute(t, p, i, None)
 
 
@@ -500,52 +507,56 @@ def contains_any_probe(t: DbTerm) -> bool:
 # Canonical textual form: (CON name) | (VAR n) | (APP t u) | ERR | (BND i)
 # | (ABS t).  Probes have no textual form.
 
-def _render(t: DbTerm, texts: Callable) -> str:
-    """Print ``t`` in one walk. ``texts(node, depth)`` gives a leaf's text,
-    or the strings written around the children of an App (before, between,
-    after) or of an Abs (before, after).
-    """
+_CLOSE = ")"  # on the writer's stack: the end of an App or Abs
+
+
+def _write_text(t: DbTerm, hole: Optional[type] = None) -> str:
+    """The canonical text of ``t``; ``hole`` is the extra leaf class, written ``(HOLE k)``."""
     out: list[str] = []
-    owed: list = []  # strings due once the current subtree ends; None: stop
-    for node, depth in walk(t):
-        piece = texts(node, depth)
-        if type(piece) is str:
-            out.append(piece)
-            while owed:
-                text = owed.pop()
-                if text is None:  # a right sibling follows
-                    break
-                out.append(text)
-        else:
-            out.append(piece[0])
-            if type(node) is App:
-                owed += (piece[2], None, piece[1])
+    write = out.append
+    todo: list = []  # right children still to write, and _CLOSE
+    push, pop = todo.append, todo.pop
+    node = t
+    while True:
+        cls = type(node)
+        while cls is App or cls is Abs:  # down the chain of left children and bodies
+            push(_CLOSE)
+            if cls is App:
+                write("(APP ")
+                push(node.right)
+                node = node.left
             else:
-                owed.append(piece[1])
-    return "".join(out)
-
-
-def _db_text(node: DbTerm, depth: int):
-    cls = type(node)
-    if cls is App:
-        return ("(APP ", " ", ")")
-    if cls is Abs:
-        return ("(ABS ", ")")
-    if cls is Con:
-        return f"(CON {node.name})"
-    if cls is Var:
-        return f"(VAR {node.index})"
-    if cls is Err:
-        return "ERR"
-    if cls is Bnd:
-        return f"(BND {node.index})"
-    if cls is Probe:
-        raise ValueError("probe nodes have no textual form")
-    raise TypeError(f"not a term: {node!r}")
+                write("(ABS ")
+                node = node.body
+            cls = type(node)
+        if cls is Con:
+            write(f"(CON {node.name})")
+        elif cls is Bnd:
+            write(f"(BND {node.index})")
+        elif cls is Var:
+            write(f"(VAR {node.index})")
+        elif cls is Err:
+            write("ERR")
+        elif cls is hole:
+            write(f"(HOLE {node.index})")
+        elif cls is Probe:
+            raise ValueError("probe nodes have no textual form")
+        else:
+            raise TypeError(f"not a term: {node!r}")
+        while todo:  # up, closing nodes, until a right child is due
+            item = pop()
+            if item is _CLOSE:
+                write(_CLOSE)
+            else:
+                write(" ")
+                node = item
+                break
+        else:
+            return "".join(out)
 
 
 def to_text(t: DbTerm) -> str:
-    return _render(t, _db_text)
+    return _write_text(t)
 
 
 # a token is a parenthesis or an atom: a maximal run of anything else

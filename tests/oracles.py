@@ -2,16 +2,20 @@
 
 These deliberately avoid the code paths they are used to verify: the
 converter below builds de Bruijn trees directly, without the binding
-operator, and the substitution walks named terms only. ``encode_reference``
-is the one exception: it is ``encode`` as first written, through the
-public constructors, for differential tests of the faster one.
+operator, and the substitution walks named terms only. The exceptions
+are kept for differential tests of faster rewrites: ``encode_reference``
+is ``encode`` as first written, through the public constructors, and
+``decode_fold`` and ``to_text_render`` are ``decode`` and the canonical
+text as they were before their direct kernels.
 """
 
+from collections import namedtuple
+
 from hobind.binder import LAM
-from hobind.expr import APP, CON, VAR
-from hobind.named_lambda import NApp, NFree, NLam, NVar
+from hobind.expr import APP, CON, VAR, _render, to_db
+from hobind.named_lambda import NApp, NFree, NLam, NotInImage, NVar
 from hobind.terms import (Abs, App, Bnd, Con, Err, ParseError, PreconditionViolated, Probe, Var,
-                          level, proper)
+                          fold, level, proper)
 
 
 def named_to_db(t, c_app="c_app", c_lam="c_lam"):
@@ -312,3 +316,66 @@ def open_term_error_offset(text, arity):
     if top >= arity:
         return next(pos for k, pos in holes if k == top)
     return dangling[0]
+
+
+# ``decode`` as a fold. Besides named terms, subtrees fold to
+# ``c_app $$ arg`` waiting for its second argument, to a binder waiting
+# for ``c_lam``, and to leaves that only an enclosing App can accept or
+# reject.
+_NAMED = (NVar, NFree, NLam, NApp)
+_AppHead = namedtuple("_AppHead", "arg")
+_Scope = namedtuple("_Scope", "name body")
+
+
+def decode_fold(e, c_app="c_app", c_lam="c_lam"):
+    """``named_lambda.decode`` as a post-order ``fold`` with three callbacks."""
+    def leaf(node, depth):
+        if type(node) is Var:
+            return NFree(node.index)
+        if type(node) is Bnd and node.index < depth:
+            return NVar(f"x{depth - node.index}")
+        return node
+
+    def app(left, right):
+        if (type(right) is _Scope and type(left) is Con and left.name == c_lam
+                and isinstance(right.body, _NAMED)):
+            return NLam(right.name, right.body)
+        if isinstance(right, _NAMED):
+            if type(left) is Con and left.name == c_app:
+                return _AppHead(right)
+            if type(left) is _AppHead:
+                return NApp(left.arg, right)
+        raise NotInImage("term shape outside the encoding")
+
+    out = fold(to_db(e), leaf, app, lambda body, depth: _Scope(f"x{depth + 1}", body))
+    if not isinstance(out, _NAMED):
+        raise NotInImage("term shape outside the encoding")
+    return out
+
+
+def to_text_render(t, hole=None):
+    """The canonical text of ``t`` through ``pretty``'s per-node callback
+    printer; ``hole`` is the leaf class written ``(HOLE k)``, as for open
+    terms.
+    """
+    def texts(node, depth):
+        cls = type(node)
+        if cls is App:
+            return ("(APP ", " ", ")")
+        if cls is Abs:
+            return ("(ABS ", ")")
+        if cls is Con:
+            return f"(CON {node.name})"
+        if cls is Var:
+            return f"(VAR {node.index})"
+        if cls is Err:
+            return "ERR"
+        if cls is Bnd:
+            return f"(BND {node.index})"
+        if cls is hole:
+            return f"(HOLE {node.index})"
+        if cls is Probe:
+            raise ValueError("probe nodes have no textual form")
+        raise TypeError(f"not a term: {node!r}")
+
+    return _render(t, texts)

@@ -9,8 +9,8 @@ import hobind.expr
 import hobind.named_lambda
 import hobind.openterm
 import hobind.terms
-from hobind.binder import lbind
-from hobind.expr import CON, VAR, VApp, VCon, VErr, VLam, VVar
+from hobind.binder import LAM, lbind
+from hobind.expr import APP, CON, VAR, VApp, VCon, VErr, VLam, VVar
 from hobind.named_lambda import NApp, NFree, NLam, NVar
 from hobind.openterm import Hole
 from oracles import preorder
@@ -303,13 +303,23 @@ class TestNegativeIndices:
         assert make(0).index == 0
 
     def test_binding_at_a_negative_index(self):
+        # refused as ``instantiate`` refuses it, with or without an
+        # occurrence of the probe
         p = fresh_probe()
-        with pytest.raises(ValueError, match="negative"):
-            bind_probe(App(Probe(p), C1), p, -1)
-        with pytest.raises(ValueError, match="negative"):
-            lbind(-2, lambda x: x)
-        # no occurrence of the probe: nothing is built
-        assert lbind(-2, lambda x: CON("c")) == Con("c")
+        for t in (App(Probe(p), C1), Abs(Probe(p)), C1):
+            with pytest.raises(PreconditionViolated, match="bind_probe: negative index -1"):
+                bind_probe(t, p, -1)
+        for fn in (lambda x: x, lambda x: CON("c")):
+            with pytest.raises(PreconditionViolated, match="negative index -2"):
+                lbind(-2, fn)
+
+    def test_negative_index_under_a_binder_is_not_captured(self):
+        # Bnd(i + k) at depth k >= -i is a valid node, so without the check
+        # these built Abs(Bnd(0)) and Abs(App(Bnd(0), Bnd(0))), raising nothing
+        with pytest.raises(PreconditionViolated, match="negative index -1"):
+            bind_probe(Abs(Probe(5)), 5, -1)
+        with pytest.raises(PreconditionViolated, match="negative index -1"):
+            lbind(-1, lambda x: LAM(lambda y: APP(x, y)))
 
 
 # every ``_node`` class, with one positional argument tuple
