@@ -35,6 +35,7 @@ from .terms import (
     Con,
     DbTerm,
     Err,
+    PreconditionViolated,
     Probe,
     ProbeId,
     Var,
@@ -115,6 +116,8 @@ def lbind(i: int, fn: Binder1) -> DbTerm:
     """Convert the closure's argument into the dangling index ``i`` (a
     natural), incremented under each binder node of the body.
     """
+    if i < 0:  # refused before the closure runs
+        raise PreconditionViolated(f"bind_probe: negative index {i}")
     p = fresh_probe()
     body = _probed(fn, (p,))
     assert level(0, body), "internal: binder body left the proper layer"

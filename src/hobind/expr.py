@@ -31,7 +31,6 @@ from .terms import (
     level,
     probe_ids,
     size,
-    walk,
 )
 
 
@@ -232,53 +231,43 @@ def cases(e: Expr) -> ExprView:
     raise AssertionError(f"unreachable head in proper term: {t!r}")
 
 
-def _render(t: DbTerm, texts: Callable) -> str:
-    """Print ``t`` in one walk. ``texts(node, depth)`` gives a leaf's text,
-    or the strings written around the children of an App (before, between,
-    after) or of an Abs (before, after).
-    """
-    out: list[str] = []
-    owed: list = []  # strings due once the current subtree ends; None: stop
-    for node, depth in walk(t):
-        piece = texts(node, depth)
-        if type(piece) is str:
-            out.append(piece)
-            while owed:
-                text = owed.pop()
-                if text is None:  # a right sibling follows
-                    break
-                out.append(text)
-        else:
-            out.append(piece[0])
-            if type(node) is App:
-                owed += (piece[2], None, piece[1])
-            else:
-                owed.append(piece[1])
-    return "".join(out)
-
-
 def pretty(e: Expr) -> str:
     """Display form: ``CON c``, ``VAR n``, ``s $$ t`` (left-associative),
     ``ERR``, ``LAM x1. body`` with display names chosen by binding depth.
     """
-
-    def texts(node: DbTerm, depth: int):
+    out: list[str] = []
+    write = out.append
+    todo: list = [(_transparent(e, "pretty"), 0)]  # (node, depth) to print, or text to copy
+    pop, push = todo.pop, todo.append
+    while todo:
+        item = pop()
+        if type(item) is str:
+            write(item)
+            continue
+        node, depth = item
         cls = type(node)
         if cls is App:
             # a binder left of ``$$`` and any non-leaf right of it need parentheses
-            lp, rp = type(node.left) is Abs, type(node.right) in (App, Abs)
-            return ("(" if lp else "", (")" if lp else "") + " $$ " + ("(" if rp else ""),
-                    ")" if rp else "")
-        if cls is Abs:
-            return (f"LAM x{depth + 1}. ", "")
-        if cls is Con:
-            return f"CON {node.name}"
-        if cls is Var:
-            return f"VAR {node.index}"
-        if cls is Err:
-            return "ERR"
-        if cls is Bnd:
-            return f"x{depth - node.index}"
-        raise AssertionError(f"unreachable node: {node!r}")
-
-    return _render(_transparent(e, "pretty"), texts)
+            left, right = node.left, node.right
+            if type(right) is App or type(right) is Abs:
+                todo += (")", (right, depth), " $$ (")
+            else:
+                todo += ((right, depth), " $$ ")
+            if type(left) is Abs:
+                write("(")
+                push(")")
+            push((left, depth))
+        elif cls is Abs:
+            write(f"LAM x{depth + 1}. ")
+            push((node.body, depth + 1))
+        elif cls is Con:
+            write(f"CON {node.name}")
+        elif cls is Var:
+            write(f"VAR {node.index}")
+        elif cls is Err:
+            write("ERR")
+        elif cls is Bnd:
+            write(f"x{depth - node.index}")
+        else:
+            raise AssertionError(f"unreachable node: {node!r}")
+    return "".join(out)

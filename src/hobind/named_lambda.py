@@ -14,8 +14,9 @@ distinct.
 ``parse`` reads a text with one regex scan and one loop that keeps the
 open parenthesis groups on an explicit stack, and ``pretty`` prints on
 one too, so neither has a depth limit. Named terms are frozen slots
-dataclasses; equality and hashing of ``NLam``/``NApp``, ``alpha_eq``
-and ``well_scoped`` run on explicit stacks as well.
+dataclasses; ``NLam`` and ``NApp`` share the ``==``, ``hash`` and
+``repr`` of the de Bruijn inner nodes (``terms._Branch``), which run on
+explicit stacks, as ``alpha_eq`` and ``well_scoped`` do.
 
 ``encode`` represents an abstraction as ``c_lam $$ LAM(...)`` and an
 application as ``c_app $$ l $$ r``; since every closure it hands to the
@@ -43,8 +44,8 @@ from typing import Iterator, Union
 
 from .binder import LAM
 from .expr import CON, VAR, Expr, _not_expr, _transparent, to_db
-from .terms import (Abs, App, Bnd, Con, DbTerm, ParseError, Var, _node, _offset,
-                    _tree_repr, instantiate)
+from .terms import (Abs, App, Bnd, Con, DbTerm, ParseError, Var, _Branch, _node, _offset,
+                    instantiate)
 
 
 class NotInImage(Exception):
@@ -53,44 +54,6 @@ class NotInImage(Exception):
 
 class NotAnAbstraction(Exception):
     """Binder application needs an encoded abstraction."""
-
-
-class _Compound:
-    """Structural equality, hashing and ``repr`` for NLam and NApp with
-    explicit stacks; the dataclass-generated ones recurse on the children.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other: object):
-        if type(other) is not type(self):
-            return NotImplemented
-        pairs = [(self, other)]  # nodes at the same position
-        pop, push = pairs.pop, pairs.append
-        while pairs:
-            a, b = pop()
-            if a is b:
-                continue
-            cls = type(a)
-            if cls is not type(b):
-                return False
-            if cls is NApp:
-                push((a.right, b.right))
-                push((a.left, b.left))
-            elif cls is NLam:
-                if a.name != b.name:
-                    return False
-                push((a.body, b.body))
-            elif a != b:
-                return False
-        return True
-
-    def __hash__(self) -> int:
-        # equal terms print alike
-        return hash(pretty(self))
-
-    def __repr__(self) -> str:
-        return _tree_repr(self, _COMPOUND_REPR)
 
 
 @_node
@@ -107,19 +70,16 @@ class NFree:
     index: int
 
 
-@_node(eq=False, repr=False)
-class NLam(_Compound):
+@_node
+class NLam(_Branch):
     name: str
     body: "NamedTerm"
 
 
-@_node(eq=False, repr=False)
-class NApp(_Compound):
+@_node
+class NApp(_Branch):
     left: "NamedTerm"
     right: "NamedTerm"
-
-
-_COMPOUND_REPR = {NLam: ("name", "body"), NApp: ("left", "right")}
 
 
 NamedTerm = Union[NVar, NFree, NLam, NApp]
@@ -353,7 +313,7 @@ def decode(e: Expr, sig: OlSig = DEFAULT_SIG) -> NamedTerm:
         elif cls is Var:
             done.append(NFree(node.index))
             continue
-        elif cls is Bnd and node.index < depth:
+        elif cls is Bnd:  # never dangling: the term is proper, and each Abs a c_lam body
             done.append(NVar(f"x{depth - node.index}"))
             continue
         raise NotInImage("term shape outside the encoding")
@@ -390,11 +350,12 @@ def apply_binder(e: Expr, arg: Expr, sig: OlSig = DEFAULT_SIG) -> Expr:
 # ---------------------------------------------------------------------------
 # Term generators for the adequacy sweeps
 
-def enumerate_named_terms(
-    max_size: int,
-    names: tuple[str, ...] = ("x", "y", "z"),
-    max_free: int = 2,
-) -> Iterator[NamedTerm]:
+# the generators' alphabet: binder names, and free variables #0.._MAX_FREE
+_NAMES = ("x", "y", "z")
+_MAX_FREE = 2
+
+
+def enumerate_named_terms(max_size: int) -> Iterator[NamedTerm]:
     """All well-scoped named terms of node count <= max_size."""
     memo: dict[tuple[int, frozenset[str]], list[NamedTerm]] = {}
 
@@ -405,9 +366,9 @@ def enumerate_named_terms(
         out: list[NamedTerm] = []
         if s == 1:
             out.extend(NVar(n) for n in sorted(bound))
-            out.extend(NFree(i) for i in range(max_free + 1))
+            out.extend(NFree(i) for i in range(_MAX_FREE + 1))
         else:
-            for name in names:
+            for name in _NAMES:
                 out.extend(NLam(name, b) for b in of_size(s - 1, bound | {name}))
             for a in range(1, s - 1):
                 out.extend(
@@ -422,18 +383,12 @@ def enumerate_named_terms(
         yield from of_size(s, frozenset())
 
 
-def gen_named_term(
-    max_size: int,
-    seed: int,
-    names: tuple[str, ...] = ("x", "y", "z"),
-    max_free: int = 2,
-) -> NamedTerm:
+def gen_named_term(max_size: int, seed: int) -> NamedTerm:
     """One pseudo-random well-scoped named term; deterministic per seed."""
-    return _draw_named_term(random.Random(seed), max_size, names, max_free)
+    return _draw_named_term(random.Random(seed), max_size)
 
 
-def _draw_named_term(rng: random.Random, max_size: int, names: tuple[str, ...] = ("x", "y", "z"),
-                     max_free: int = 2) -> NamedTerm:
+def _draw_named_term(rng: random.Random, max_size: int) -> NamedTerm:
     """The next term of ``gen_named_term``'s kind drawn from ``rng``."""
     coin, choice, randrange = rng.random, rng.choice, rng.randrange
 
@@ -441,9 +396,9 @@ def _draw_named_term(rng: random.Random, max_size: int, names: tuple[str, ...] =
         if budget <= 1 or coin() < 0.3:
             if bound and coin() < 0.5:
                 return NVar(choice(bound))
-            return NFree(randrange(max_free + 1))
+            return NFree(randrange(_MAX_FREE + 1))
         if coin() < 0.45:
-            name = choice(names)
+            name = choice(_NAMES)
             return NLam(name, gen(budget - 1, bound + (name,)))
         split = randrange(1, budget - 1) if budget > 2 else 1
         return NApp(gen(split, bound), gen(budget - 1 - split, bound))

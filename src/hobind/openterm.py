@@ -53,7 +53,6 @@ from .terms import (
     level,
     probe_ids,
     replace_probe,
-    rewrite,
     walk,
 )
 
@@ -106,7 +105,25 @@ class OpenTerm:
 
 def fill(body: Body, args: tuple[DbTerm, ...]) -> DbTerm:
     """Substitute ``args[k]`` for each Hole(k); plain node substitution."""
-    return rewrite(body, lambda node, _: args[node.index] if type(node) is Hole else node)
+    done: list = []  # filled subterms, innermost last
+    # nodes still to fill, App to join the last two filled subterms, or
+    # Abs to wrap the last one
+    todo: list = [body]
+    pop = todo.pop
+    while todo:
+        node = pop()
+        if node is App:
+            right = done.pop()
+            done[-1] = App(done[-1], right)
+        elif node is Abs:
+            done[-1] = Abs(done[-1])
+        elif type(node) is App:
+            todo += (App, node.right, node.left)
+        elif type(node) is Abs:
+            todo += (Abs, node.body)
+        else:
+            done.append(args[node.index] if type(node) is Hole else node)
+    return done[0]
 
 
 def reflect1(ot: OpenTerm) -> Binder1:
@@ -211,12 +228,7 @@ def enumerate_db_terms(max_size: int) -> Iterator[DbTerm]:
     """All raw terms of node count <= max_size over the enumeration
     alphabet, dangling indices included.
     """
-    by_size: dict[int, list[DbTerm]] = {
-        1: list(_CONS)
-        + [Var(i) for i in range(_MAX_INDEX)]
-        + [Err()]
-        + [Bnd(j) for j in range(_MAX_INDEX)]
-    }
+    by_size: dict[int, list[DbTerm]] = {1: list(_leaves(0, _MAX_INDEX))}
     for s in range(2, max_size + 1):
         out: list[DbTerm] = [Abs(b) for b in by_size[s - 1]]
         for a in range(1, s - 1):

@@ -7,12 +7,9 @@ binder argument while a host closure is being converted to syntax; no
 term observable through a public operation ever contains one.
 
 Every whole-term operation runs on an explicit stack and so has no
-depth limit; most go through one traversal. ``walk(t)`` yields ``(node,
-depth)`` for each node in pre-order (parents first, left before right).
-``fold(t, leaf, app, abs_)`` combines bottom-up: ``leaf(node, depth)``
-at each leaf, then ``app(left, right)`` and ``abs_(body, depth)`` on the
-children's results; ``rewrite(t, leaf)`` is the fold that rebuilds
-App/Abs around new leaves.
+depth limit. ``walk(t)`` yields ``(node, depth)`` for each node in
+pre-order (parents first, left before right); ``size`` and the open-term
+checks read it, and every other operation is one direct loop of its own.
 ``depth`` counts the ``Abs`` nodes strictly above a node, so ``Bnd(i)``
 at depth ``d`` dangles exactly when ``i >= d``. Whatever is neither
 ``App`` nor ``Abs`` is a leaf, so other layers can add leaves.
@@ -34,12 +31,16 @@ is declared with ``_node``: a frozen slots dataclass that refuses every
 assignment and deletion with ``FrozenInstanceError`` and whose
 ``__init__`` stores each field through its slot descriptor's setter.
 ``Bnd(i)`` and ``Var(i)`` refuse a negative ``i`` with ``ValueError``.
+The inner nodes of both tree families, ``App`` and ``Abs`` here and the
+named terms' ``NLam`` and ``NApp``, derive from ``_Branch``: one ``==``,
+one ``hash`` and one ``repr`` for all four, each on an explicit stack
+over one table of every such class's fields (``_FIELDS``).
 
 A leaf added by another layer (the open-term ``Hole``) derives from
 ``_Leaf``, so it counts as level 0 with no probes.
 
 The substitutions (``instantiate``, ``bind_probe``, ``replace_probe``)
-share one explicit-stack kernel, not ``fold``. It enters a child only
+share one explicit-stack kernel. It enters a child only
 if the child's cached fields show a target in it (``p in child.pids``
 for ``Probe(p)``, ``child.lvl > j + k`` for ``Bnd(j + k)`` at depth
 ``k``), so it walks just the paths to the targets, every leaf it reaches
@@ -67,7 +68,7 @@ from __future__ import annotations
 import itertools
 import re
 import sys
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from typing import Callable, Iterator, Optional, Union
 
 
@@ -96,9 +97,18 @@ class _Leaf:
     pids = _NO_PIDS
 
 
-class _Inner:
-    """Structural equality, hashing and ``repr`` for App and Abs with
-    explicit stacks; the dataclass-generated ones recurse on the children.
+# the fields of each _Branch class, last first, the order in which a
+# stack pops them: App and Abs here, the named terms' NLam and NApp in
+# named_lambda; _node fills it in
+_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+class _Branch:
+    """Structural equality, hashing and ``repr`` for every inner tree
+    node (App, Abs, NLam, NApp), on explicit stacks; the
+    dataclass-generated ones recurse on the children. Each reads the
+    node's fields from ``_FIELDS``; any other value, a leaf or NLam's
+    name, compares, hashes and prints as itself.
     """
 
     __slots__ = ()
@@ -106,9 +116,7 @@ class _Inner:
     def __eq__(self, other: object):
         if type(other) is not type(self):
             return NotImplemented
-        # pairs of nodes at the same position; equal trees have equal
-        # cached fields, so a difference there ends the comparison early
-        pairs = [(self, other)]
+        pairs = [(self, other)]  # values at the same position
         pop, push = pairs.pop, pairs.append
         while pairs:
             a, b = pop()
@@ -117,53 +125,56 @@ class _Inner:
             cls = type(a)
             if cls is not type(b):
                 return False
-            if cls is App:
-                if a.lvl != b.lvl or a.pids != b.pids:
+            names = _FIELDS.get(cls)
+            if names is None:
+                if a != b:
                     return False
-                push((a.right, b.right))
-                push((a.left, b.left))
-            elif cls is Abs:
-                if a.lvl != b.lvl or a.pids != b.pids:
-                    return False
-                push((a.body, b.body))
-            elif a != b:
+            # equal trees have equal cached fields, so a difference there
+            # ends the comparison early
+            elif (cls is App or cls is Abs) and (a.lvl != b.lvl or a.pids != b.pids):
                 return False
+            else:
+                for name in names:
+                    push((getattr(a, name), getattr(b, name)))
         return True
 
     def __hash__(self) -> int:
-        return hash(tuple(_preorder(self)))
+        # inner classes and the other values in pre-order; as arities are
+        # fixed, this sequence determines the tree
+        seq: list = []
+        add = seq.append
+        stack = [self]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node = pop()
+            cls = type(node)
+            names = _FIELDS.get(cls)
+            if names is None:
+                add(node)
+            else:
+                add(cls)
+                for name in names:
+                    push(getattr(node, name))
+        return hash(tuple(seq))
 
     def __repr__(self) -> str:
-        return _tree_repr(self, _INNER_REPR)
-
-
-def _tree_repr(t, shown: dict[type, tuple[str, ...]]) -> str:
-    """The dataclass-generated ``repr`` of ``t``, on an explicit stack.
-    ``shown`` maps each inner node class to the fields its ``repr``
-    shows; every other value prints with its own ``repr``.
-    """
-    out: list[str] = []
-    stack = [t]  # nodes still to print, and text (str) to copy
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        cls = type(item)
-        parts: list = [cls.__qualname__ + "("]
-        for k, name in enumerate(shown[cls]):
-            value = getattr(item, name)
-            parts.append(f"{', ' if k else ''}{name}=")
-            parts.append(value if type(value) in shown else repr(value))
-        parts.append(")")
-        stack.extend(reversed(parts))
-    return "".join(out)
-
-
-def _preorder(t: DbTerm) -> list:
-    # leaves and inner-node classes in pre-order; as arities are fixed,
-    # this list determines the tree
-    return [type(n) if type(n) is App or type(n) is Abs else n for n, _ in walk(t)]
+        # the dataclass-generated repr
+        out: list[str] = []
+        stack: list = [self]  # nodes still to print, and text (str) to copy
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            cls = type(item)
+            parts: list = [cls.__qualname__ + "("]
+            for k, name in enumerate(reversed(_FIELDS[cls])):
+                value = getattr(item, name)
+                parts.append(f"{', ' if k else ''}{name}=")
+                parts.append(value if type(value) in _FIELDS else repr(value))
+            parts.append(")")
+            stack.extend(reversed(parts))
+        return "".join(out)
 
 
 def _setters(cls: type, *names: str) -> tuple:
@@ -176,14 +187,15 @@ def _refuse(self, name: str, *value):
     raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
 
 
-def _node(cls: Optional[type] = None, /, **options):
-    """``cls`` as a frozen slots ``dataclass`` (given ``options``) that
-    refuses every assignment and deletion. Unless ``cls`` defines its own
-    (to derive a field), an ``__init__`` is generated, as ``dataclasses``
-    does, that takes every field and stores it through its slot's setter.
+def _node(cls: type) -> type:
+    """``cls`` as a frozen slots ``dataclass`` that refuses every
+    assignment and deletion. Unless ``cls`` defines its own (to derive a
+    field), an ``__init__`` is generated, as ``dataclasses`` does, that
+    takes every field and stores it through its slot's setter. A
+    ``_Branch`` keeps that class's ``==``, ``hash`` and ``repr``, over the
+    fields its ``repr`` shows.
     """
-    if cls is None:
-        return lambda cls: _node(cls, **options)
+    branch = issubclass(cls, _Branch)
     names = list(cls.__annotations__)
     scope = {"__name__": cls.__module__}  # the generated __init__'s globals
     # generated before dataclass runs, which derives a missing docstring from it
@@ -195,7 +207,9 @@ def _node(cls: Optional[type] = None, /, **options):
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     # the dataclass's own __setattr__ and __delattr__ would raise TypeError
     # for a name that is not a field: they refer to the class before slots
-    cls = dataclass(frozen=True, init=False, slots=True, **options)(cls)
+    cls = dataclass(frozen=True, init=False, slots=True, eq=not branch, repr=not branch)(cls)
+    if branch:
+        _FIELDS[cls] = tuple(f.name for f in reversed(fields(cls)) if f.repr)
     scope.update(zip([f"_set_{n}" for n in names], _setters(cls, *names)))
     cls.__setattr__ = cls.__delattr__ = _refuse
     return cls
@@ -223,8 +237,8 @@ class Var(_Leaf):
 (_var_index,) = _setters(Var, "index")
 
 
-@_node(eq=False, repr=False)
-class App(_Inner):
+@_node
+class App(_Branch):
     left: "DbTerm"
     right: "DbTerm"
     lvl: int = field(init=False, repr=False)
@@ -263,8 +277,8 @@ class Bnd(_Leaf):
 _bnd_index, _bnd_lvl = _setters(Bnd, "index", "lvl")
 
 
-@_node(eq=False, repr=False)
-class Abs(_Inner):
+@_node
+class Abs(_Branch):
     """Nameless binder."""
 
     body: "DbTerm"
@@ -279,8 +293,6 @@ class Abs(_Inner):
 
 
 _abs_body, _abs_lvl, _abs_pids = _setters(Abs, "body", "lvl", "pids")
-
-_INNER_REPR = {App: ("left", "right"), Abs: ("body",)}
 
 
 @_node
@@ -328,58 +340,10 @@ def walk(t: DbTerm) -> Iterator[tuple[DbTerm, int]]:
                 break
 
 
-# markers on the stacks of fold and _substitute (an App whose right child
-# is being folded or rewritten, an Abs whose body is) and on the parser's
-# (an App or Abs still open)
+# markers on the stack of _substitute (an App whose right child is being
+# rewritten, an Abs whose body is) and on the parser's (an App or Abs
+# still open)
 _APP, _ABS = object(), object()
-
-
-def fold(t: DbTerm, leaf: Callable, app: Callable, abs_: Callable):
-    """Post-order fold: ``leaf(node, depth)`` at leaves, ``app(l, r)`` and
-    ``abs_(b, depth)`` on the children's results.
-    """
-    # open nodes, innermost last: an App whose left child is being folded,
-    # _APP on top of the left child's result while the right one is, or
-    # _ABS; depth rises and falls with the Abs nodes entered and left
-    stack: list = []
-    push, pop = stack.append, stack.pop
-    node, depth = t, 0
-    while True:
-        while True:  # down the chain of left children and bodies
-            cls = type(node)
-            if cls is not App and cls is not Abs:
-                out = leaf(node, depth)
-                break
-            if cls is App:
-                push(node)
-                node = node.left
-            else:
-                push(_ABS)
-                node = node.body
-                depth += 1
-        while stack:  # up, combining results, until a right child is due
-            top = pop()
-            if top is _APP:
-                out = app(pop(), out)
-            elif top is _ABS:
-                depth -= 1
-                out = abs_(out, depth)
-            else:
-                push(out)
-                push(_APP)
-                node = top.right
-                break
-        else:
-            return out
-
-
-def rewrite(t: DbTerm, leaf: Callable[[DbTerm, int], DbTerm]) -> DbTerm:
-    """``t`` with every leaf replaced by ``leaf(node, depth)``."""
-    return fold(t, leaf, App, _rebuild_abs)
-
-
-def _rebuild_abs(body: DbTerm, depth: int) -> DbTerm:
-    return Abs(body)
 
 
 def level(i: int, t: DbTerm) -> bool:

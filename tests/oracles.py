@@ -6,16 +6,19 @@ operator, and the substitution walks named terms only. The exceptions
 are kept for differential tests of faster rewrites: ``encode_reference``
 is ``encode`` as first written, through the public constructors, and
 ``decode_fold`` and ``to_text_render`` are ``decode`` and the canonical
-text as they were before their direct kernels.
+text as folds with one callback per node, as they were before their
+direct kernels. ``pretty_recursive`` and ``fill_recursive`` are plain
+recursive ``expr.pretty`` and ``openterm.fill``.
 """
 
 from collections import namedtuple
 
 from hobind.binder import LAM
-from hobind.expr import APP, CON, VAR, _render, to_db
+from hobind.expr import APP, CON, VAR, to_db
 from hobind.named_lambda import NApp, NFree, NLam, NotInImage, NVar
+from hobind.openterm import Hole
 from hobind.terms import (Abs, App, Bnd, Con, Err, ParseError, PreconditionViolated, Probe, Var,
-                          fold, level, proper)
+                          level, proper)
 
 
 def named_to_db(t, c_app="c_app", c_lam="c_lam"):
@@ -132,9 +135,10 @@ def walk_recursive(t, depth=0):
 
 
 def fold_recursive(t, leaf, app, abs_, keep=None, depth=0):
-    """The post-order fold of ``terms.fold``, by plain recursion: ``keep``
-    is asked at each App/Abs before its children, and a kept node is its
-    own result.
+    """Post-order fold by plain recursion: ``leaf(node, depth)`` at
+    leaves, ``app(l, r)`` and ``abs_(b, depth)`` on the children's
+    results. ``keep`` is asked at each App/Abs before its children, and a
+    kept node is its own result.
     """
     if type(t) not in (App, Abs):
         return leaf(t, depth)
@@ -328,7 +332,7 @@ _Scope = namedtuple("_Scope", "name body")
 
 
 def decode_fold(e, c_app="c_app", c_lam="c_lam"):
-    """``named_lambda.decode`` as a post-order ``fold`` with three callbacks."""
+    """``named_lambda.decode`` as a post-order fold with three callbacks."""
     def leaf(node, depth):
         if type(node) is Var:
             return NFree(node.index)
@@ -347,23 +351,18 @@ def decode_fold(e, c_app="c_app", c_lam="c_lam"):
                 return NApp(left.arg, right)
         raise NotInImage("term shape outside the encoding")
 
-    out = fold(to_db(e), leaf, app, lambda body, depth: _Scope(f"x{depth + 1}", body))
+    out = fold_recursive(to_db(e), leaf, app, lambda body, depth: _Scope(f"x{depth + 1}", body))
     if not isinstance(out, _NAMED):
         raise NotInImage("term shape outside the encoding")
     return out
 
 
 def to_text_render(t, hole=None):
-    """The canonical text of ``t`` through ``pretty``'s per-node callback
-    printer; ``hole`` is the leaf class written ``(HOLE k)``, as for open
-    terms.
+    """The canonical text of ``t`` as a fold with one callback per node;
+    ``hole`` is the leaf class written ``(HOLE k)``, as for open terms.
     """
-    def texts(node, depth):
+    def leaf(node, depth):
         cls = type(node)
-        if cls is App:
-            return ("(APP ", " ", ")")
-        if cls is Abs:
-            return ("(ABS ", ")")
         if cls is Con:
             return f"(CON {node.name})"
         if cls is Var:
@@ -378,4 +377,40 @@ def to_text_render(t, hole=None):
             raise ValueError("probe nodes have no textual form")
         raise TypeError(f"not a term: {node!r}")
 
-    return _render(t, texts)
+    return fold_recursive(t, leaf, lambda left, right: f"(APP {left} {right})",
+                          lambda body, depth: f"(ABS {body})")
+
+
+def pretty_recursive(t, depth=0):
+    """``expr.pretty`` of the proper term ``t``, by plain recursion."""
+    cls = type(t)
+    if cls is App:
+        left = pretty_recursive(t.left, depth)
+        right = pretty_recursive(t.right, depth)
+        if type(t.left) is Abs:
+            left = f"({left})"
+        if type(t.right) in (App, Abs):
+            right = f"({right})"
+        return f"{left} $$ {right}"
+    if cls is Abs:
+        return f"LAM x{depth + 1}. {pretty_recursive(t.body, depth + 1)}"
+    if cls is Con:
+        return f"CON {t.name}"
+    if cls is Var:
+        return f"VAR {t.index}"
+    if cls is Err:
+        return "ERR"
+    if cls is Bnd:
+        return f"x{depth - t.index}"
+    raise AssertionError(f"unreachable node: {t!r}")
+
+
+def fill_recursive(body, args):
+    """``openterm.fill``: ``args[k]`` for each Hole(k), every other leaf
+    kept, App and Abs rebuilt, by plain recursion.
+    """
+    if type(body) is App:
+        return App(fill_recursive(body.left, args), fill_recursive(body.right, args))
+    if type(body) is Abs:
+        return Abs(fill_recursive(body.body, args))
+    return args[body.index] if type(body) is Hole else body

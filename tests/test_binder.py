@@ -34,7 +34,7 @@ from hobind.expr import (
     from_db,
     to_db,
 )
-from hobind.terms import Abs, App, Bnd, Con, Err, Var, proper
+from hobind.terms import Abs, App, Bnd, Con, Err, PreconditionViolated, Var, proper
 
 
 def is_con_headed(x):
@@ -69,6 +69,14 @@ class TestLbind:
 
         with pytest.raises(ExoticUse):
             lbind(0, exotic_branch_on_con)
+
+    @pytest.mark.parametrize("i", [-1, -3])
+    def test_negative_index_refused_before_the_closure_runs(self, i):
+        def fn(x):
+            raise AssertionError("the closure ran")
+
+        with pytest.raises(PreconditionViolated, match=f"negative index {i}"):
+            lbind(i, fn)
 
 
 class TestAbstr:

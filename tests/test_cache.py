@@ -93,7 +93,6 @@ def test_construction_and_checks_do_not_walk(spine, monkeypatch):
         raise AssertionError("the whole term was walked")
 
     monkeypatch.setattr(hobind.terms, "walk", no_walk)
-    monkeypatch.setattr(hobind.terms, "fold", no_walk)
     e = from_db(spine)
     assert Expr(spine)._t is spine
     assert level(0, spine) and probe_ids(spine) == frozenset()

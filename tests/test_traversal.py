@@ -1,52 +1,58 @@
-"""The contract of the shared traversal: ``walk``, ``fold`` and
-``rewrite`` against plain recursive references (``oracles``).
-
-Each fold runs with callbacks that log every call, so the order of the
-``leaf``, ``app`` and ``abs_`` calls, their depth arguments and the result
-are all compared.
+"""The shared traversal and the direct kernels that replaced the callback
+walkers, against plain recursive references (``oracles``): ``walk``,
+``openterm.fill`` and ``expr.pretty``; and the one ``==``/``hash`` of
+both tree families, over enumerated terms.
 """
 
 import pytest
 from hypothesis import given
 
-from hobind.openterm import Hole, enumerate_db_terms
-from hobind.terms import Abs, App, Bnd, Con, Probe, Var, fold, rewrite, walk
-from oracles import fold_recursive, walk_recursive
+from hobind.expr import Expr, pretty
+from hobind.named_lambda import enumerate_named_terms
+from hobind.openterm import Hole, enumerate_db_terms, enumerate_open_terms, fill
+from hobind.terms import Abs, App, Bnd, Con, Probe, Var, walk
+from oracles import fill_recursive, pretty_recursive, walk_recursive
 from test_cache import TERMS
 
 SMALL = list(enumerate_db_terms(5))
+ARGS = (App(Con("a"), Var(0)), Abs(Bnd(0)))  # for Hole(0) and Hole(1)
 
 
-def logged_fold(traverse, t):
-    """The result of ``traverse`` on ``t`` with logging callbacks, and the log."""
-    log = []
-
-    def leaf(node, depth):
-        log.append(("leaf", node, depth))
-        return ("leaf", len(log))
-
-    def app(left, right):
-        log.append(("app", left, right))
-        return ("app", len(log))
-
-    def abs_(body, depth):
-        log.append(("abs", body, depth))
-        return ("abs", len(log))
-
-    out = traverse(t, leaf, app, abs_)
-    return out, log
+def leaves(t):
+    return [node for node, _ in walk(t) if type(node) not in (App, Abs)]
 
 
-def assert_same_fold(t):
-    got, got_log = logged_fold(fold, t)
-    want, want_log = logged_fold(fold_recursive, t)
-    assert got_log == want_log
-    assert got == want
+def assert_same_fill(body):
+    got, want = fill(body, ARGS), fill_recursive(body, ARGS)
+    assert got == want and repr(got) == repr(want)
+    # every leaf is the body's own or an argument's, never a copy
+    assert all(a is b for a, b in zip(leaves(got), leaves(want)))
+
+
+def printed(print_, t):
+    try:
+        return "text", print_(t)
+    except AssertionError as exc:  # a leaf with no display form
+        return AssertionError, str(exc)
+
+
+def assert_same_pretty(t):
+    """``pretty`` agrees with the reference on ``t`` if ``t`` is proper
+    and probe-free, a hole included.
+    """
+    if t.lvl == 0 and not t.pids:
+        assert printed(lambda t: pretty(Expr(t)), t) == printed(pretty_recursive, t)
 
 
 def test_enumerated_terms():
-    for t in SMALL:
-        assert_same_fold(t)
+    for t in enumerate_db_terms(6):
+        assert_same_fill(t)
+        assert_same_pretty(t)
+
+
+def test_enumerated_open_terms_fill_alike():
+    for ot in enumerate_open_terms(2, 3):
+        assert_same_fill(ot.body)
 
 
 def test_enumerated_walks():
@@ -57,22 +63,22 @@ def test_enumerated_walks():
 @given(TERMS)
 def test_terms_with_probes_and_holes(t):
     assert list(walk(t)) == walk_recursive(t)
-    assert_same_fold(t)
+    assert_same_fill(t)
+    assert_same_pretty(t)
 
 
 @pytest.mark.parametrize("t", [Con("c"), Var(1), Bnd(3), Probe(7), Hole(0)])
 def test_leaf_root(t):
     assert list(walk(t)) == [(t, 0)]
-    out, log = logged_fold(fold, t)
-    assert log == [("leaf", t, 0)] and out == ("leaf", 1)
-    assert rewrite(t, lambda node, depth: Var(depth)) == Var(0)
+    assert fill(t, ARGS) is (ARGS[0] if type(t) is Hole else t)
 
 
-@given(TERMS)
-def test_rewrite_is_the_rebuilding_fold(t):
-    def leaf(node, depth):
-        return Var(depth) if type(node) is Bnd else node
-
-    want = fold_recursive(t, leaf, App, lambda body, depth: Abs(body))
-    assert rewrite(t, leaf) == want
-    assert rewrite(t, lambda node, depth: node) == t
+def test_equal_terms_hash_alike():
+    # two enumerations build distinct inner nodes, equal exactly at the same position
+    for enumerate_terms in (enumerate_db_terms, enumerate_named_terms):
+        xs, ys = list(enumerate_terms(4)), list(enumerate_terms(4))
+        for i, a in enumerate(xs):
+            for j, b in enumerate(ys):
+                assert (a == b) is (i == j)
+                if i == j:
+                    assert hash(a) == hash(b)
