@@ -7,15 +7,17 @@ fresh opaque probe term: syntactic closures thread the probe through
 untouched, while closures that inspect their argument trip ``ExoticUse``
 inside the inspection operation.
 
-``ExoticUse`` carries the probe ids that were inspected. Each binding
-operation catches the exception only when its *own* probe is among
-them; an exception about an enclosing binder's argument keeps
-propagating, so a closure that branches on an outer variable poisons
-the outer check, not the inner one. This keeps nested binders sound:
-``lam x. lam y. <body branching on x>`` is rejected at ``x``, while
-``lam x. lam y. <body branching on y>`` collapses the inner binder to
-the error term and leaves the outer one a perfectly good constant
-function.
+``ExoticUse`` carries the probe ids that were inspected. Every verdict
+(``abstr``, ``LAM``, ``ordinary``, ``abstr_2``, ``classify``,
+``abstr_lam_check``, ``openterm.reify1``) comes from one session,
+``_session``, the one place that catches the exception, and only when
+its *own* probe is among them; an exception about an enclosing binder's
+argument keeps propagating, so a closure that branches on an outer
+variable poisons the outer check, not the inner one. This keeps nested
+binders sound: ``lam x. lam y. <body branching on x>`` is rejected at
+``x``, while ``lam x. lam y. <body branching on y>`` collapses the inner
+binder to the error term and leaves the outer one a perfectly good
+constant function.
 
 Detection is sound for closures that stay within the public term API.
 A closure that deliberately catches the opacity signal, reaches into
@@ -25,10 +27,11 @@ wrapper internals, or keeps hidden state is outside the purity contract
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .expr import CON, ERR, VAR, Binder1, ExoticUse, Expr
+from .expr import CON, ERR, VAR, Binder1, ExoticUse, Expr, _probe_free
 from .terms import (
     Abs,
     App,
@@ -43,7 +46,6 @@ from .terms import (
     fresh_probe,
     instantiate,
     level,
-    probe_ids,
     replace_probe,
 )
 
@@ -117,17 +119,11 @@ def lbind(i: int, fn: Binder1) -> DbTerm:
     natural), incremented under each binder node of the body.
     """
     if i < 0:  # refused before the closure runs
-        raise PreconditionViolated(f"bind_probe: negative index {i}")
+        raise PreconditionViolated(f"lbind: negative index {i}")
     p = fresh_probe()
     body = _probed(fn, (p,))
     assert level(0, body), "internal: binder body left the proper layer"
-    out = bind_probe(body, p, i)
-    leftover = probe_ids(out)
-    if leftover:
-        # a raw tree must not carry an enclosing binder's argument out of
-        # its session: the caller could read its structure off the nodes
-        raise ExoticUse(leftover, "lbind")
-    return out
+    return _probe_free(bind_probe(body, p, i), "lbind")
 
 
 def abstr(fn: Binder1) -> bool:
@@ -247,40 +243,28 @@ def classify(fn: Binder1) -> AbstrClassification:
     raise AssertionError(f"unreachable body head: {body!r}")
 
 
-_ground: tuple[Expr, ...] | None = None
-
-
+@functools.cache
 def ground_samples() -> tuple[Expr, ...]:
     """Closed sample terms covering every head constructor."""
-    global _ground
-    if _ground is None:
-        _ground = (VAR(0), VAR(1), CON("c1"), ERR(), LAM(lambda x: x))
-    return _ground
+    return (VAR(0), VAR(1), CON("c1"), ERR(), LAM(lambda x: x))
 
 
 def abstr_lam_check(fn2: Binder2) -> bool:
     """Binder check for a nested binding ``lam x. lam y. body(x, y)``.
 
-    Requires every x-slice ``lam y. body(x, y)`` to pass ``abstr``; the
-    slice is sampled at a probe argument, falling back to the ground
-    samples when the body consults x itself (then the probe slice is
-    indeterminate rather than failed). Returns whether
-    ``lam x: LAM(lam y: body)`` passes ``abstr``, which matches the
-    y-slice family ``lam x. body(x, y)`` being uniformly syntactic.
+    Decided in one session of ``lam x: LAM(lam y: body)``. The result is
+    whether that closure passes ``abstr``, which matches the y-slice
+    family ``lam x. body(x, y)`` being uniformly syntactic. Every x-slice
+    ``lam y. body(x, y)`` must pass ``abstr``: the session's ``LAM``
+    giving the error term means the slice at the probe inspected y. When
+    the body consults x itself, the probe slice is indeterminate rather
+    than failed, and the ground samples stand in for it.
     """
-    p = fresh_probe()
-    px = Expr(Probe(p))
-    slice_ok: bool | None
-    try:
-        slice_ok = abstr(lambda y: fn2(px, y))
-    except ExoticUse as exc:
-        if p not in exc.pids:
-            raise
-        slice_ok = None
-    if slice_ok is False:
+    _, body = _session(lambda x: LAM(lambda y: fn2(x, y)))
+    if type(body) is Err:
         raise PremiseViolated("y-slice at a probe argument is not syntactic")
-    if slice_ok is None:
+    if body is None:
         for g in ground_samples():
             if not abstr(lambda y: fn2(g, y)):
                 raise PremiseViolated("y-slice at a ground argument is not syntactic")
-    return abstr(lambda x: LAM(lambda y: fn2(x, y)))
+    return body is not None

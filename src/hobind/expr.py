@@ -29,7 +29,6 @@ from .terms import (
     _node,
     instantiate,
     level,
-    probe_ids,
     size,
 )
 
@@ -103,6 +102,14 @@ def _transparent(e: Expr, op: str, caller: str | None = None) -> DbTerm:
     return e._t
 
 
+def _probe_free(t: DbTerm, op: str) -> DbTerm:
+    """``t``, provided it carries no probes: a raw tree holding a binder
+    argument would let its caller read that argument's nodes."""
+    if t.pids:
+        raise ExoticUse(t.pids, op)
+    return t
+
+
 def _not_expr(op: str, *args: object) -> TypeError:
     # built only once reading an argument's fields has failed, so the
     # calls that get Expr values pay nothing for the check
@@ -145,10 +152,7 @@ def to_db(e: Expr) -> DbTerm:
 
 def from_db(t: DbTerm) -> Expr:
     """Lift a proper, probe-free de Bruijn term; inverse of ``to_db``."""
-    pids = probe_ids(t)
-    if pids:
-        raise ExoticUse(pids, "from_db")
-    if not level(0, t):
+    if not level(0, _probe_free(t, "from_db")):
         raise NotProper("term has dangling indices")
     return Expr(t)
 

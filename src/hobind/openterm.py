@@ -26,10 +26,10 @@ from .expr import (
     ERR,
     VAR,
     Binder1,
-    ExoticUse,
     Expr,
     VApp,
     VCon,
+    _probe_free,
     cases,
     expr_equal,
     expr_size,
@@ -51,7 +51,6 @@ from .terms import (
     _parse_sexpr,
     _write_text,
     level,
-    probe_ids,
     replace_probe,
     walk,
 )
@@ -158,13 +157,9 @@ def reify1(fn: Binder1) -> OpenTerm:
     (p,), body = binder._session(fn)
     if body is None:
         raise ExoticFunction("closure inspects its argument")
-    stripped = replace_probe(body, p, Hole(0))
-    leftover = probe_ids(stripped)
-    if leftover:
-        # the body embeds an enclosing binder's argument; spelling it out
-        # as a first-order term would inspect it
-        raise ExoticUse(leftover, "reify1")
-    return OpenTerm(1, stripped)
+    # a body that embeds an enclosing binder's argument is refused:
+    # spelling it out as a first-order term would inspect it
+    return OpenTerm(1, _probe_free(replace_probe(body, p, Hole(0)), "reify1"))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 Terms are immutable. ``Bnd(i)`` refers to the variable bound by the
 (i+1)-th enclosing ``Abs`` node; an index with too few enclosing ``Abs``
 nodes is *dangling*. ``Probe`` is an internal placeholder standing for a
-binder argument while a host closure is being converted to syntax; no
-term observable through a public operation ever contains one.
+binder argument while a host closure is being converted to syntax. A
+public term can still hold one: a closure that stores its argument lets
+a later ``LAM`` return an ``Expr`` carrying that probe, which every
+inspection refuses with ``ExoticUse`` (scope extrusion, ROADMAP item 4).
 
 Every whole-term operation runs on an explicit stack and so has no
 depth limit. ``walk(t)`` yields ``(node, depth)`` for each node in

@@ -75,8 +75,9 @@ class TestLbind:
         def fn(x):
             raise AssertionError("the closure ran")
 
-        with pytest.raises(PreconditionViolated, match=f"negative index {i}"):
+        with pytest.raises(PreconditionViolated, match=f"negative index {i}") as exc:
             lbind(i, fn)
+        assert str(exc.value).startswith("lbind: ")
 
 
 class TestAbstr:
@@ -362,6 +363,36 @@ class TestAbstrLamCheck:
 
         with pytest.raises(PremiseViolated):
             abstr_lam_check(w)
+
+    @pytest.mark.parametrize("fn2,verdict,evaluations", [
+        # one session at a probe argument decides a syntactic body
+        (lambda x, y: APP(x, y), True, 1),
+        # a body that inspects x: the probe, then each of the five ground
+        # samples
+        (lambda x, y: y if is_con_headed(x) else APP(x, y), False, 6),
+    ], ids=["syntactic", "inspects-x"])
+    def test_evaluations_of_the_body(self, fn2, verdict, evaluations):
+        calls = []
+
+        def counted(x, y):
+            calls.append(None)
+            return fn2(x, y)
+
+        assert abstr_lam_check(counted) is verdict
+        assert len(calls) == evaluations
+
+    @pytest.mark.parametrize("inner", [
+        lambda z: lambda x, y: APP(x, y) if is_con_headed(z) else y,
+        # inspects x first, so the outer argument is inspected on a ground
+        # sample
+        lambda z: lambda x, y: y if is_con_headed(x) and is_con_headed(z) else APP(x, y),
+    ], ids=["at-the-probe", "at-a-ground-sample"])
+    def test_inspecting_an_enclosing_argument_fails_the_enclosing_abstr(self, inner):
+        def outer(z):
+            abstr_lam_check(inner(z))
+            return z
+
+        assert abstr(outer) is False
 
 
 class TestInjectivity:

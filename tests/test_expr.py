@@ -22,6 +22,7 @@ from hobind.expr import (
 )
 from hobind.binder import LAM, abstr, lbind
 from hobind.named_lambda import apply_binder, encode, parse
+from hobind.openterm import reify1
 from hobind.terms import (
     Abs,
     App,
@@ -221,16 +222,22 @@ class TestPretty:
 
 
 def test_exotic_use_names_its_operation():
-    probe = Expr(Probe(fresh_probe()))
+    p = fresh_probe()
+    probe = Expr(Probe(p))
     ops = {
         "cases": lambda: cases(probe),
         "expr_equal": lambda: expr_equal(probe, VAR(0)),
         "lbind": lambda: lbind(0, lambda y: APP(probe, y)),
+        # a raw tree entering the wrapper, and an open term whose body is
+        # an enclosing binder's argument
+        "from_db": lambda: from_db(App(Probe(p), Var(0))),
+        "reify1": lambda: reify1(lambda y: probe),
     }
     for op, call in ops.items():
         with pytest.raises(ExoticUse) as exc:
             call()
         assert exc.value.op == op
+        assert exc.value.pids == {p}
 
 
 ABSTRACTION = encode(parse("fn x. x"))
