@@ -9,15 +9,15 @@ inside the inspection operation.
 
 ``ExoticUse`` carries the probe ids that were inspected. Every verdict
 (``abstr``, ``LAM``, ``ordinary``, ``abstr_2``, ``classify``,
-``abstr_lam_check``, ``openterm.reify1``) comes from one session,
+``abstr_lam_check``, ``openterm.reify``) comes from one session,
 ``_session``, the one place that catches the exception, and only when
-its *own* probe is among them; an exception about an enclosing binder's
-argument keeps propagating, so a closure that branches on an outer
-variable poisons the outer check, not the inner one. This keeps nested
-binders sound: ``lam x. lam y. <body branching on x>`` is rejected at
-``x``, while ``lam x. lam y. <body branching on y>`` collapses the inner
-binder to the error term and leaves the outer one a perfectly good
-constant function.
+one of its *own* probes is among them; an exception about an enclosing
+binder's argument keeps propagating, so a closure that branches on an
+outer variable poisons the outer check, not the inner one. This keeps
+nested binders sound: ``lam x. lam y. <body branching on x>`` is
+rejected at ``x``, while ``lam x. lam y. <body branching on y>``
+collapses the inner binder to the error term and leaves the outer one a
+perfectly good constant function.
 
 Detection is sound for closures that stay within the public term API.
 A closure that deliberately catches the opacity signal, reaches into
@@ -75,9 +75,9 @@ def _as_body(out: object) -> DbTerm:
 
 
 def _fresh(arity: int) -> tuple[ProbeId, ...]:
-    # arity is 1 or 2, spelled out: a generator here cost as much as the
-    # rest of a session's set-up
-    return (fresh_probe(),) if arity == 1 else (fresh_probe(), fresh_probe())
+    # arity 1, nearly every session, is spelled out: a generator here cost
+    # as much as the rest of a session's set-up
+    return (fresh_probe(),) if arity == 1 else tuple(fresh_probe() for _ in range(arity))
 
 
 def _probed(fn, probes: tuple[ProbeId, ...]) -> DbTerm:
@@ -86,7 +86,7 @@ def _probed(fn, probes: tuple[ProbeId, ...]) -> DbTerm:
     if len(probes) == 1:
         body = _as_body(fn(Expr(Probe(probes[0]))))
     else:
-        body = _as_body(fn(Expr(Probe(probes[0])), Expr(Probe(probes[1]))))
+        body = _as_body(fn(*[Expr(Probe(p)) for p in probes]))
     if double_eval_check:
         again = _fresh(len(probes))
         norm = body

@@ -24,7 +24,6 @@ from .binder import (
 )
 from .expr import ExoticUse, NotProper, from_db, pretty as pretty_expr, to_db
 from .named_lambda import NotAnAbstraction, NotInImage, OlSig
-from .openterm import reflect1
 from .terms import ParseError
 
 EXIT_OK = 0
@@ -132,7 +131,7 @@ def cmd_show(text: str, out_form: str, sig: OlSig) -> int:
 
 def cmd_check_abstr(text: str) -> int:
     ot = openterm.from_text(text, arity=1)
-    fn = reflect1(ot)
+    fn = openterm.reflect(ot)
     label = _CLASS_LABELS[type(classify(fn))]
     print(f"{label} / abstr: {'true' if abstr(fn) else 'false'}")
     return EXIT_OK

@@ -30,6 +30,7 @@ from .terms import (
     instantiate,
     level,
     size,
+    to_text,
 )
 
 
@@ -76,8 +77,6 @@ class Expr:
         return hash(_transparent(self, "hash"))
 
     def __repr__(self) -> str:
-        from .terms import to_text
-
         if self._pids:
             return "<Expr (opaque binder argument)>"
         return f"Expr[{to_text(self._t)}]"

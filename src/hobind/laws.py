@@ -40,9 +40,8 @@ from .openterm import (
     enumerate_db_terms,
     enumerate_open_terms,
     exotic_library,
-    reflect1,
-    reflect2,
-    reify1,
+    reflect,
+    reify,
     to_text as ot_text,
 )
 from .terms import Abs, App, Con, DbTerm, Err, Var, proper, to_text
@@ -88,7 +87,7 @@ def check_lam_injectivity(depth: int, seed: int, count: int) -> LawReport:
     report = LawReport("lam-injectivity")
     buckets: dict[str, OpenTerm] = {}
     for ot in _open_terms(1, depth):
-        key = db_key(to_db(LAM(reflect1(ot))))
+        key = db_key(to_db(LAM(reflect(ot))))
         report.checked += 1
         seen = buckets.get(key)
         if seen is None:
@@ -100,8 +99,8 @@ def check_lam_injectivity(depth: int, seed: int, count: int) -> LawReport:
     rng = _stream(report.name, seed)
     for _ in range(count):
         a, b = _draw_open_term(rng, 1, depth), _draw_open_term(rng, 1, depth)
-        key_a = db_key(to_db(LAM(reflect1(a))))
-        key_b = db_key(to_db(LAM(reflect1(b))))
+        key_a = db_key(to_db(LAM(reflect(a))))
+        key_b = db_key(to_db(LAM(reflect(b))))
         report.checked += 1
         if (key_a == key_b) != (a == b):
             report.failures.append(
@@ -133,7 +132,7 @@ def check_characterization(depth: int, seed: int, count: int) -> LawReport:
     """
     report = LawReport("characterization")
     for ot in _open_terms(1, depth, count, _stream(report.name, seed)):
-        fn = reflect1(ot)
+        fn = reflect(ot)
         got = classify(fn)
         report.checked += 1
         if not isinstance(got, _expected_shape(ot)):
@@ -157,7 +156,7 @@ def check_abstr2_componentwise(depth: int, seed: int, count: int) -> LawReport:
     report = LawReport("abstr-2-componentwise")
     for ot in _open_terms(2, depth, count, _stream(report.name, seed)):
         report.checked += 1
-        if not abstr_2(reflect2(ot)):
+        if not abstr_2(reflect(ot)):
             report.failures.append(f"syntactic pair closure rejected: {ot_text(ot)}")
     for name, fn in exotic_library(2):
         report.checked += 1
@@ -181,7 +180,7 @@ def check_round_trips(depth: int, seed: int, count: int) -> LawReport:
     drawn = [(_draw_open_term(rng, 1, depth), _draw_named_term(rng, 12)) for _ in range(count)]
     for ot in itertools.chain(_open_terms(1, depth), (ot for ot, _ in drawn)):
         report.checked += 1
-        if reify1(reflect1(ot)) != ot:
+        if reify(reflect(ot)) != ot:
             report.failures.append(f"reify/reflect mismatch: {ot_text(ot)}")
     for t in enumerate_db_terms(5):
         report.checked += 1

@@ -1,9 +1,9 @@
 """First-order open terms: bodies with numbered holes.
 
 An ``OpenTerm`` is the brute-force counterpart of a host closure: its
-holes mark where the closure would use its arguments. ``reflect1`` and
-``reflect2`` turn an open term into the corresponding (always
-syntactic) closure; ``reify1`` inverts that by probing. Everything a
+holes mark where the closure would use its arguments. ``reflect`` turns
+an open term of any arity into the corresponding (always syntactic)
+closure; ``reify`` inverts that by probing. Everything a
 binder law quantifies over can therefore be enumerated here and checked
 against the closure-level implementation.
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from . import binder
 from .binder import Binder2
@@ -78,16 +78,23 @@ Body = Union[DbTerm, Hole]
 _BODY_KINDS = (App, Abs, Con, Var, Err, Bnd)
 
 
+def _check_arity(arity: object) -> None:
+    if type(arity) is not int or arity < 0:
+        raise ValueError(f"arity {arity!r} is not a natural number")
+
+
 @dataclass(frozen=True)
 class OpenTerm:
-    """A body over term constructors and holes, all hole indices < arity,
-    with no dangling indices (holes counting as closed subterms).
+    """A body over term constructors and holes, all hole indices below
+    the natural number ``arity``, with no dangling indices (holes
+    counting as closed subterms).
     """
 
     arity: int
     body: Body
 
     def __post_init__(self):
+        _check_arity(self.arity)
         top = -1  # the largest hole index, the first of equals
         for node, _ in walk(self.body):
             cls = type(node)
@@ -96,13 +103,13 @@ class OpenTerm:
                     top = node.index
             elif cls not in _BODY_KINDS:
                 raise ValueError(f"not an open-term body: {node!r}")
-        if top >= 0 and top >= self.arity:  # compared only if a hole was seen
+        if top >= self.arity:
             raise ValueError(f"hole index {top} outside arity {self.arity}")
         if not level(0, self.body):
             raise ValueError("open-term body has dangling indices")
 
 
-def fill(body: Body, args: tuple[DbTerm, ...]) -> DbTerm:
+def fill(body: Body, args: Sequence[DbTerm]) -> DbTerm:
     """Substitute ``args[k]`` for each Hole(k); plain node substitution."""
     done: list = []  # filled subterms, innermost last
     # nodes still to fill, App to join the last two filled subterms, or
@@ -125,41 +132,36 @@ def fill(body: Body, args: tuple[DbTerm, ...]) -> DbTerm:
     return done[0]
 
 
-def reflect1(ot: OpenTerm) -> Binder1:
-    """The closure substituting its argument for Hole(0)."""
-    if ot.arity != 1:
-        raise ArityMismatch(f"reflect1 needs arity 1, got {ot.arity}")
-    body = ot.body
-
-    def fn(x: Expr) -> Expr:
-        return Expr(fill(body, (x._t,)))
-
-    return fn
-
-
-def reflect2(ot: OpenTerm) -> Binder2:
-    """The closure substituting its two arguments for Hole(0)/Hole(1)."""
-    if ot.arity != 2:
-        raise ArityMismatch(f"reflect2 needs arity 2, got {ot.arity}")
-    body = ot.body
-
-    def fn(x: Expr, y: Expr) -> Expr:
-        return Expr(fill(body, (x._t, y._t)))
-
-    return fn
-
-
-def reify1(fn: Binder1) -> OpenTerm:
-    """Recover the open term a syntactic closure denotes.
-
-    Inverse of ``reflect1`` up to structural equality.
+def reflect(ot: OpenTerm) -> Callable[..., Expr]:
+    """The closure of ``ot.arity`` arguments substituting argument k for
+    Hole(k); called with any other number of arguments it raises
+    ``ArityMismatch``.
     """
-    (p,), body = binder._session(fn)
+    arity, body = ot.arity, ot.body
+
+    def fn(*args: Expr) -> Expr:
+        if len(args) != arity:
+            raise ArityMismatch(f"reflect: arity {arity}, called with {len(args)}")
+        return Expr(fill(body, [x._t for x in args]))
+
+    return fn
+
+
+def reify(fn: Callable[..., Expr], arity: int = 1) -> OpenTerm:
+    """Recover the open term a syntactic closure of ``arity`` arguments
+    denotes.
+
+    Inverse of ``reflect`` up to structural equality.
+    """
+    _check_arity(arity)  # refused before the closure runs
+    probes, body = binder._session(fn, arity)
     if body is None:
         raise ExoticFunction("closure inspects its argument")
+    for k, p in enumerate(probes):
+        body = replace_probe(body, p, Hole(k))
     # a body that embeds an enclosing binder's argument is refused:
     # spelling it out as a first-order term would inspect it
-    return OpenTerm(1, _probe_free(replace_probe(body, p, Hole(0)), "reify1"))
+    return OpenTerm(arity, _probe_free(body, "reify"))
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +283,7 @@ def to_text(ot: OpenTerm) -> str:
 
 
 def from_text(text: str, arity: int = 1) -> OpenTerm:
+    _check_arity(arity)  # the caller's fault, not the text's
     body = _parse_sexpr(text, make_hole=Hole)
     try:
         return OpenTerm(arity, body)
@@ -296,6 +299,6 @@ def _culprit_offset(text: str, body: Body, arity: int) -> int:
     leaves = [(node, depth) for node, depth in walk(body) if type(node) not in (App, Abs)]
     top = max((node.index for node, _ in leaves if type(node) is Hole), default=-1)
     m = next(m for m, (node, depth) in enumerate(leaves)
-             if (type(node) is Hole and node.index == top if top >= 0 and top >= arity
+             if (type(node) is Hole and node.index == top if top >= arity
                  else type(node) is Bnd and node.index >= depth))
     return _leaf_offset(text, m)

@@ -456,19 +456,6 @@ def _substitute(t: DbTerm, p: Optional[ProbeId], j: int, u: Optional[DbTerm]) ->
             return out
 
 
-def probe_ids(t: DbTerm) -> frozenset[ProbeId]:
-    """All probe ids occurring in ``t``."""
-    return t.pids
-
-
-def contains_probe(t: DbTerm, p: ProbeId) -> bool:
-    return p in probe_ids(t)
-
-
-def contains_any_probe(t: DbTerm) -> bool:
-    return bool(probe_ids(t))
-
-
 # ---------------------------------------------------------------------------
 # Canonical textual form: (CON name) | (VAR n) | (APP t u) | ERR | (BND i)
 # | (ABS t).  Probes have no textual form.

@@ -59,8 +59,7 @@ from hobind.openterm import (
     exotic_library,
     fill,
     gen_open_term,
-    reflect1,
-    reflect2,
+    reflect,
     to_text as ot_text,
 )
 from hobind.terms import (
@@ -112,7 +111,7 @@ def named5():
 
 
 def lam_image(ot: OpenTerm):
-    return to_db(LAM(reflect1(ot)))
+    return to_db(LAM(reflect(ot)))
 
 
 def test_c01_lam_injectivity(open1):
@@ -203,7 +202,7 @@ def test_c03_characterization(open1):
     failures = []
     checked = 0
     for ot in open1:
-        fn = reflect1(ot)
+        fn = reflect(ot)
         got = classify(fn)
         checked += 1
         if not isinstance(got, _expected_class(ot)):
@@ -224,12 +223,12 @@ def test_c04_abstr2_componentwise(open2):
     checked = 0
     for ot in open2:
         checked += 1
-        if not abstr_2(reflect2(ot)):
+        if not abstr_2(reflect(ot)):
             failures.append(ot_text(ot))
     for i in range(500):
         ot = gen_open_term(2, 6, seed=10_000 + i)
         checked += 1
-        if not abstr_2(reflect2(ot)):
+        if not abstr_2(reflect(ot)):
             failures.append(ot_text(ot))
     grounds = ground_samples()
     for name, fn in exotic_library(2):
@@ -271,7 +270,7 @@ def test_c05_nested_binder_rule():
 
     # biconditional, true side: 200 generated two-hole bodies
     for i in range(200):
-        fn2 = reflect2(gen_open_term(2, 4, seed=40_000 + i))
+        fn2 = reflect(gen_open_term(2, 4, seed=40_000 + i))
         checked += 1
         if not (abstr_lam_check(fn2) and rhs_sampled(fn2)):
             failures.append(f"generated body {i} broke the biconditional")
@@ -312,12 +311,12 @@ def test_c07_lam_body_shape(open1):
     failures = []
     checked = 0
     for ot in open1:
-        fn = reflect1(ot)
+        fn = reflect(ot)
         checked += 1
         if to_db(LAM(fn)) != Abs(lbind(0, fn)):
             failures.append(ot_text(ot))
     for i in range(1000):
-        fn = reflect1(gen_open_term(1, 6, seed=70_000 + i))
+        fn = reflect(gen_open_term(1, 6, seed=70_000 + i))
         checked += 1
         if to_db(LAM(fn)) != Abs(lbind(0, fn)):
             failures.append(f"random body {i}")

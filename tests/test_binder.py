@@ -34,7 +34,7 @@ from hobind.expr import (
     from_db,
     to_db,
 )
-from hobind.terms import Abs, App, Bnd, Con, Err, PreconditionViolated, Var, proper
+from hobind.terms import Abs, App, Bnd, Con, Err, PreconditionViolated, Probe, Var, proper
 
 
 def is_con_headed(x):
@@ -149,11 +149,9 @@ class TestLam:
         assert not expr_equal(e, ERR())
 
     def test_result_is_proper_and_probe_free(self):
-        from hobind.terms import contains_any_probe
-
         e = LAM(lambda x: LAM(lambda y: APP(APP(x, y), VAR(0))))
         assert proper(to_db(e))
-        assert not contains_any_probe(to_db(e))
+        assert not to_db(e).pids
 
 
 class TestNestedSoundness:
@@ -198,10 +196,10 @@ class TestNestedSoundness:
         assert expr_equal(LAM(outer), ERR())
 
     def test_reify_as_inspection_route_is_rejected(self):
-        from hobind.openterm import reify1
+        from hobind.openterm import reify
 
         def outer(x):
-            reify1(lambda y: APP(x, y))  # would spell out x's structure
+            reify(lambda y: APP(x, y))  # would spell out x's structure
             return VAR(0)
 
         assert abstr(outer) is False
@@ -273,6 +271,21 @@ class TestAbstr2:
 
     def test_nested_binding_inside_pair_body(self):
         assert abstr_2(lambda x, y: LAM(lambda z: APP(APP(x, y), z))) is True
+
+
+class TestSessionArity:
+    """One session hands a closure as many probes as its arity."""
+
+    @pytest.mark.parametrize("double_eval", [False, True])
+    def test_any_arity(self, monkeypatch, double_eval):
+        monkeypatch.setattr(binder_mod, "double_eval_check", double_eval)
+        probes, body = binder_mod._session(lambda x, y, z: APP(z, x), 3)
+        assert len(set(probes)) == 3
+        assert body == App(Probe(probes[2]), Probe(probes[0]))
+        probes, body = binder_mod._session(lambda: CON("c1"), 0)
+        assert probes == () and body == Con("c1")
+        four = binder_mod._session(lambda w, x, y, z: APP(w, z) if is_con_headed(z) else x, 4)
+        assert len(four[0]) == 4 and four[1] is None
 
 
 class TestClassify:
@@ -397,14 +410,14 @@ class TestAbstrLamCheck:
 
 class TestInjectivity:
     def test_equal_images_mean_equal_reifications(self):
-        from hobind.openterm import Hole, OpenTerm, reflect1, reify1
+        from hobind.openterm import Hole, OpenTerm, reflect, reify
         from hobind.terms import App as DbApp, Var as DbVar
         from hobind.openterm import enumerate_db_terms
 
         args = [from_db(t) for t in enumerate_db_terms(4) if proper(t)][:50]
         pairs = [
-            (lambda x: APP(x, VAR(3)), reflect1(OpenTerm(1, DbApp(Hole(0), DbVar(3))))),
-            (lambda x: x, reflect1(OpenTerm(1, Hole(0)))),
+            (lambda x: APP(x, VAR(3)), reflect(OpenTerm(1, DbApp(Hole(0), DbVar(3))))),
+            (lambda x: x, reflect(OpenTerm(1, Hole(0)))),
             (
                 lambda x: LAM(lambda y: APP(x, y)),
                 lambda x: LAM(lambda z: APP(x, z)),
@@ -412,17 +425,17 @@ class TestInjectivity:
         ]
         for s, t in pairs:
             assert expr_equal(LAM(s), LAM(t))
-            assert reify1(s) == reify1(t)
+            assert reify(s) == reify(t)
             for arg in args:
                 assert expr_equal(s(arg), t(arg))
 
     def test_distinct_images_mean_distinct_reifications(self):
-        from hobind.openterm import reify1
+        from hobind.openterm import reify
 
         s = lambda x: APP(x, VAR(3))
         t = lambda x: APP(x, VAR(4))
         assert not expr_equal(LAM(s), LAM(t))
-        assert reify1(s) != reify1(t)
+        assert reify(s) != reify(t)
 
     def test_dangling_counterexample_is_unreachable(self):
         # at the raw layer, binding a probe and a pre-existing dangling

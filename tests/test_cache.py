@@ -25,7 +25,6 @@ from hobind.terms import (
     fresh_probe,
     instantiate,
     level,
-    probe_ids,
     replace_probe,
 )
 from oracles import closing_level_and_probes
@@ -37,7 +36,7 @@ def assert_cache_matches(t):
     lvl, pids = closing_level_and_probes(t)
     for i in range(4):
         assert level(i, t) is (lvl <= i)
-    assert probe_ids(t) == pids
+    assert t.pids == pids
     if type(t) in (App, Abs):
         assert (t.lvl, t.pids) == (lvl, pids)
 
@@ -72,7 +71,7 @@ def test_terms_with_probes_and_holes(t):
 
 def test_empty_probe_sets_are_shared():
     p = Probe(fresh_probe())
-    assert App(C, Var(0)).pids is Abs(Err()).pids is probe_ids(Hole(0))
+    assert App(C, Var(0)).pids is Abs(Err()).pids is Hole(0).pids
     assert App(p, C).pids is p.pids
     assert Abs(App(C, p)).pids is p.pids
 
@@ -95,7 +94,7 @@ def test_construction_and_checks_do_not_walk(spine, monkeypatch):
     monkeypatch.setattr(hobind.terms, "walk", no_walk)
     e = from_db(spine)
     assert Expr(spine)._t is spine
-    assert level(0, spine) and probe_ids(spine) == frozenset()
+    assert level(0, spine) and spine.pids == frozenset()
     assert APP(e, e)._t.left is spine
     view = cases(e)
     assert isinstance(view, VApp)

@@ -213,10 +213,10 @@ class TestSweep:
         # produce passes at depth 2; only random draws of depth 5 reach it
         from hobind.binder import LAM
         from hobind.expr import to_db
-        from hobind.openterm import enumerate_open_terms, reflect1
+        from hobind.openterm import enumerate_open_terms, reflect
         from hobind.terms import size
 
-        cap = max(size(to_db(LAM(reflect1(ot))))
+        cap = max(size(to_db(LAM(reflect(ot))))
                   for ot in enumerate_open_terms(1, laws_mod._EXHAUSTIVE_DEPTH_CAP))
         real = laws_mod.db_key
         monkeypatch.setattr(laws_mod, "db_key", lambda t: "LARGE" if size(t) > cap else real(t))

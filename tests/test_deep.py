@@ -36,7 +36,7 @@ from hobind.named_lambda import (
     well_scoped,
 )
 from hobind.named_lambda import pretty as pretty_named
-from hobind.openterm import Hole, OpenTerm, enumerate_db_terms, reflect1, reify1
+from hobind.openterm import Hole, OpenTerm, enumerate_db_terms, reflect, reify
 from hobind.terms import (
     Abs,
     App,
@@ -49,7 +49,6 @@ from hobind.terms import (
     from_text,
     instantiate,
     level,
-    probe_ids,
     proper,
     replace_probe,
     size,
@@ -185,7 +184,7 @@ def test_size(shape):
 
 @stack_safe
 def test_probe_plumbing(shape):
-    assert probe_ids(shape.probed) == {shape.pid}
+    assert shape.probed.pids == {shape.pid}
     assert bind_probe(shape.probed, shape.pid, 0) == shape.inner
     assert replace_probe(shape.probed, shape.pid, Var(7)) == instantiate(
         shape.inner, 0, Var(7)
@@ -250,14 +249,14 @@ def test_openterm_text_round_trip(shape):
 
 @stack_safe
 def test_reflect_and_reify(shape):
-    fn = reflect1(shape.ot)
+    fn = reflect(shape.ot)
     assert to_db(fn(VAR(3))) == instantiate(shape.inner, 0, Var(3))
-    assert reify1(fn) == shape.ot
+    assert reify(fn) == shape.ot
 
 
 @stack_safe
 def test_binding_a_deep_body(shape):
-    fn = reflect1(shape.ot)
+    fn = reflect(shape.ot)
     assert to_db(LAM(fn)) == shape.term
     assert isinstance(classify(fn), AppCase if shape.name == "spine" else LamCase)
 

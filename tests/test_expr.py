@@ -22,7 +22,7 @@ from hobind.expr import (
 )
 from hobind.binder import LAM, abstr, lbind
 from hobind.named_lambda import apply_binder, encode, parse
-from hobind.openterm import reify1
+from hobind.openterm import reify
 from hobind.terms import (
     Abs,
     App,
@@ -31,7 +31,6 @@ from hobind.terms import (
     Err,
     Probe,
     Var,
-    contains_any_probe,
     fresh_probe,
     proper,
 )
@@ -46,7 +45,7 @@ class TestConstructors:
 
     def test_results_are_proper_and_probe_free(self):
         for e in (CON("c1"), VAR(2), APP(CON("c1"), VAR(0)), ERR()):
-            assert not contains_any_probe(to_db(e))
+            assert not to_db(e).pids
 
     def test_con_rejects_bad_names(self):
         for bad in ("", "a b", "a\tb", "(x)", 3):
@@ -231,7 +230,7 @@ def test_exotic_use_names_its_operation():
         # a raw tree entering the wrapper, and an open term whose body is
         # an enclosing binder's argument
         "from_db": lambda: from_db(App(Probe(p), Var(0))),
-        "reify1": lambda: reify1(lambda y: probe),
+        "reify": lambda: reify(lambda y: probe),
     }
     for op, call in ops.items():
         with pytest.raises(ExoticUse) as exc:

@@ -1,7 +1,7 @@
 import pytest
 
 from hobind.binder import Exotic, LAM, abstr, abstr_2, classify
-from hobind.expr import APP, ERR, VAR, expr_equal
+from hobind.expr import APP, CON, ERR, VAR, expr_equal
 from hobind.openterm import (
     ArityMismatch,
     ExoticFunction,
@@ -12,9 +12,8 @@ from hobind.openterm import (
     exotic_library,
     from_text,
     gen_open_term,
-    reflect1,
-    reflect2,
-    reify1,
+    reflect,
+    reify,
     to_text,
 )
 from hobind.terms import Abs, App, Bnd, Con, Err, Probe, Var, proper, size
@@ -26,9 +25,9 @@ VALIDATION = [
     (1, Hole(0), None),
     (2, App(Hole(1), Abs(App(Bnd(0), Hole(0)))), None),
     (1, Con("c"), None),
-    # with no hole, the arity is never compared
-    (-1, Con("c"), None),
-    (None, App(Con("c"), Abs(Bnd(0))), None),
+    # the arity is checked first, hole or no hole
+    (-1, Con("c"), "arity -1 is not a natural number"),
+    (None, App(Con("c"), Abs(Bnd(0))), "arity None is not a natural number"),
     (1, Hole(1), "hole index 1 outside arity 1"),
     (0, Hole(0), "hole index 0 outside arity 0"),
     # the largest hole is reported, wherever it stands
@@ -45,6 +44,9 @@ VALIDATION = [
     # a dangling index comes last
     (1, Bnd(0), "open-term body has dangling indices"),
     (1, Abs(App(Bnd(1), Hole(0))), "open-term body has dangling indices"),
+    (0, Con("c"), None),
+    (True, Hole(0), "arity True is not a natural number"),
+    (2.0, Bnd(0), "arity 2.0 is not a natural number"),
 ]
 
 
@@ -76,54 +78,105 @@ class TestOpenTermInvariants:
 
 class TestReflect:
     def test_substitution(self):
-        fn = reflect1(OpenTerm(1, App(Hole(0), Var(3))))
+        fn = reflect(OpenTerm(1, App(Hole(0), Var(3))))
         assert expr_equal(fn(VAR(9)), APP(VAR(9), VAR(3)))
 
     def test_pair_substitution(self):
-        fn = reflect2(OpenTerm(2, App(Hole(0), Hole(1))))
+        fn = reflect(OpenTerm(2, App(Hole(0), Hole(1))))
         assert expr_equal(fn(VAR(1), VAR(2)), APP(VAR(1), VAR(2)))
+
+    def test_any_arity_substitution(self):
+        assert expr_equal(reflect(OpenTerm(0, Con("c")))(), CON("c"))
+        fn = reflect(OpenTerm(3, App(Hole(2), App(Hole(0), Hole(2)))))
+        assert expr_equal(fn(VAR(1), VAR(2), VAR(3)), APP(VAR(3), APP(VAR(1), VAR(3))))
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
-            reflect1(OpenTerm(2, Hole(1)))
+            reflect(OpenTerm(2, Hole(1)))(VAR(0))
         with pytest.raises(ArityMismatch):
-            reflect2(OpenTerm(1, Hole(0)))
+            reflect(OpenTerm(1, Hole(0)))(VAR(0), VAR(1))
+        with pytest.raises(ArityMismatch):
+            reflect(OpenTerm(1, Con("c")))()
+        # a binder hands the wrong number of probes: refused, not exotic
+        with pytest.raises(ArityMismatch):
+            abstr(reflect(OpenTerm(2, Hole(1))))
 
     def test_reflected_closures_are_syntactic(self):
         for ot in enumerate_open_terms(1, 3):
-            assert abstr(reflect1(ot)) is True
+            assert abstr(reflect(ot)) is True
 
 
 class TestReify:
     def test_identity(self):
-        assert reify1(lambda x: x) == OpenTerm(1, Hole(0))
+        assert reify(lambda x: x) == OpenTerm(1, Hole(0))
 
     def test_body(self):
-        got = reify1(lambda x: APP(x, VAR(3)))
+        got = reify(lambda x: APP(x, VAR(3)))
         assert got == OpenTerm(1, App(Hole(0), Var(3)))
 
     def test_exotic(self):
         from hobind.expr import expr_size
 
         with pytest.raises(ExoticFunction):
-            reify1(lambda x: VAR(expr_size(x)))
+            reify(lambda x: VAR(expr_size(x)))
 
     def test_round_trip_exhaustive(self):
         # depth 4 would be ~6.1M terms; depth 3 is exhaustive and fast,
         # the deep cases are covered by the random sweep below
         for ot in enumerate_open_terms(1, 3):
-            assert reify1(reflect1(ot)) == ot
+            assert reify(reflect(ot)) == ot
 
     def test_round_trip_random_deep(self):
         for s in range(1000):
             ot = gen_open_term(1, 6, seed=s)
-            assert reify1(reflect1(ot)) == ot
+            assert reify(reflect(ot)) == ot
+
+    @pytest.mark.parametrize("arity", [-1, None, True, 1.0, "1"])
+    def test_bad_arity_refused_before_the_closure_runs(self, arity):
+        ran = []
+        with pytest.raises(ValueError, match="is not a natural number"):
+            reify(lambda *xs: ran.append(xs) or CON("c"), arity)
+        assert ran == []
+
+    def test_any_arity(self):
+        assert reify(lambda: CON("c"), 0) == OpenTerm(0, Con("c"))
+        got = reify(lambda x, y, z: APP(z, LAM(lambda w: APP(w, x))), 3)
+        assert got == OpenTerm(3, App(Hole(2), Abs(App(Bnd(0), Hole(0)))))
+        for s in range(50):
+            for arity in (3, 4):
+                ot = gen_open_term(arity, 5, seed=s)
+                assert reify(reflect(ot), arity) == ot
+
+
+class TestReifyReflect2:
+    """The ``reify-reflect-2`` law: reification inverts ``reflect`` on
+    two-argument closures and refuses every exotic one.
+    """
+
+    def test_round_trip_exhaustive(self):
+        n = 0
+        for ot in enumerate_open_terms(2, 3):
+            assert reify(reflect(ot), 2) == ot
+            n += 1
+        assert n == 4184
+
+    def test_round_trip_random_deep(self):
+        for s in range(1000):
+            ot = gen_open_term(2, 6, seed=s)
+            assert reify(reflect(ot), 2) == ot
+
+    def test_exotic_refused(self):
+        library = exotic_library(2)
+        assert library
+        for name, fn in library:
+            with pytest.raises(ExoticFunction):
+                reify(fn, 2)
 
 
 class TestComponentwiseOracle:
     def test_agrees_with_closure_check(self):
         for ot in enumerate_open_terms(2, 3):
-            assert abstr_2(reflect2(ot))
+            assert abstr_2(reflect(ot))
 
     def test_slice_families_are_syntactic(self):
         from hobind.binder import ground_samples
@@ -132,11 +185,11 @@ class TestComponentwiseOracle:
         for i, ot in enumerate(enumerate_open_terms(2, 3)):
             if i % 25:
                 continue
-            fn = reflect2(ot)
+            fn = reflect(ot)
             assert all(abstr(lambda x, g=g: fn(x, g)) for g in grounds)
             assert all(abstr(lambda y, g=g: fn(g, y)) for g in grounds)
         for s in range(100):
-            fn = reflect2(gen_open_term(2, 6, seed=50_000 + s))
+            fn = reflect(gen_open_term(2, 6, seed=50_000 + s))
             assert abstr_2(fn)
             assert all(abstr(lambda x, g=g: fn(x, g)) for g in grounds)
 
@@ -165,6 +218,12 @@ class TestEnumeration:
     def test_bad_depth(self):
         with pytest.raises(ValueError):
             list(enumerate_open_terms(1, 0))
+
+    def test_bad_arity(self):
+        with pytest.raises(ValueError, match="arity -2 is not a natural number"):
+            list(enumerate_open_terms(-2, 1))
+        with pytest.raises(ValueError, match="arity -1 is not a natural number"):
+            gen_open_term(-1, 3, seed=0)
 
     def test_db_terms_cover_improper_ones(self):
         terms = list(enumerate_db_terms(4))
@@ -268,7 +327,12 @@ class TestText:
     def test_hole_free_text_at_negative_arity(self):
         from hobind.terms import ParseError
 
-        assert from_text("(CON c)", arity=-1) == OpenTerm(-1, Con("c"))
+        # a bad arity is the caller's error, not the text's
+        for text in ("(CON c)", "(APP (CON c) (BND 0))", "(HOLE 0"):
+            with pytest.raises(ValueError, match="arity -1 is not a natural number") as exc:
+                from_text(text, arity=-1)
+            assert not isinstance(exc.value, ParseError)
+        assert from_text("(CON c)", arity=0) == OpenTerm(0, Con("c"))
         with pytest.raises(ParseError) as exc:
-            from_text("(APP (CON c) (BND 0))", arity=-1)
+            from_text("(APP (CON c) (BND 0))", arity=0)
         assert exc.value.position == len("(APP (CON c) ")

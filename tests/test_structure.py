@@ -1,0 +1,78 @@
+"""Structural guards over ``src/hobind``: one binding session catches the
+opacity signal, and the public names are pinned so that any addition or
+removal shows up as a change to this file.
+"""
+
+import ast
+import pathlib
+import types
+
+import hobind
+
+SRC = pathlib.Path(hobind.__file__).resolve().parent
+
+
+def top_level_uses(predicate):
+    """``(module, top-level function or None, node)`` for every node of
+    ``src/hobind/*.py`` that satisfies ``predicate``.
+    """
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            found += [(path.stem, owner, node) for node in ast.walk(top) if predicate(node)]
+    return found
+
+
+def names_in(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_only_the_session_catches_exotic_use():
+    handlers = top_level_uses(
+        lambda n: isinstance(n, ast.ExceptHandler)
+        and n.type is not None and "ExoticUse" in names_in(n.type)
+    )
+    # ``except ExoticUse`` alone decides a verdict; the command line's
+    # handler only maps it, with the other domain errors, to exit code 3
+    assert [(module, owner, isinstance(node.type, ast.Tuple))
+            for module, owner, node in handlers] == [
+        ("binder", "_session", False),
+        ("cli", "main", True),
+    ]
+
+
+def test_only_session_and_lbind_run_a_probed_evaluation():
+    uses = top_level_uses(
+        lambda n: isinstance(n, ast.Name) and n.id == "_probed"
+        or isinstance(n, ast.Attribute) and n.attr == "_probed"
+    )
+    assert sorted((module, owner) for module, owner, _ in uses) == [
+        ("binder", "_session"),
+        ("binder", "lbind"),
+    ]
+
+
+PUBLIC = {
+    "APP", "Abs", "AbstrClassification", "App", "AppCase", "Binder1",
+    "Binder2", "Bnd", "CON", "Con", "ConstCon", "ConstErr", "ConstVar",
+    "DbTerm", "ERR", "Err", "Exotic", "ExoticUse", "Expr", "ExprView",
+    "Identity", "LAM", "LamCase", "NotProper", "ParseError",
+    "PreconditionViolated", "PremiseViolated", "PurityError", "VAR", "VApp",
+    "VCon", "VErr", "VLam", "VVar", "Var", "abstr", "abstr_2",
+    "abstr_lam_check", "bind_probe", "cases", "classify", "expr_equal",
+    "expr_size", "fresh_probe", "from_db", "from_text", "instantiate",
+    "lbind", "level", "ordinary", "pretty", "proper", "size", "to_db",
+    "to_text",
+}
+
+
+def test_public_names_are_pinned():
+    exported = {
+        name for name, value in vars(hobind).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == PUBLIC

@@ -27,14 +27,11 @@ from hobind.terms import (
     _Leaf,
     _refuse,
     bind_probe,
-    contains_any_probe,
-    contains_probe,
     fresh_probe,
     from_text,
     instantiate,
     level,
     proper,
-    probe_ids,
     replace_probe,
     size,
     to_text,
@@ -175,10 +172,10 @@ class TestProbes:
 
     def test_contains(self):
         p, q = fresh_probe(), fresh_probe()
-        assert contains_any_probe(Var(0)) is False
-        assert contains_probe(App(Probe(p), Err()), p) is True
-        assert contains_probe(App(Probe(q), Err()), p) is False
-        assert probe_ids(App(Probe(p), Abs(Probe(q)))) == {p, q}
+        assert Var(0).pids == frozenset()
+        assert p in App(Probe(p), Err()).pids
+        assert p not in App(Probe(q), Err()).pids
+        assert App(Probe(p), Abs(Probe(q))).pids == {p, q}
 
     def test_proper_terms_are_probe_free_fixed_points(self):
         p = fresh_probe()
@@ -194,7 +191,7 @@ class TestProbes:
         p = fresh_probe()
         u = App(C1, Var(0))
         for t in all_terms(5, LEAVES + [Probe(p)]):
-            if len(probe_ids(t)) != 1 or not level(0, t):
+            if len(t.pids) != 1 or not level(0, t):
                 continue
 
             def occurrences(t):
