@@ -83,10 +83,7 @@ def _fresh(arity: int) -> tuple[ProbeId, ...]:
 def _probed(fn, probes: tuple[ProbeId, ...]) -> DbTerm:
     # ``fn`` is called from here directly: every frame between two nested
     # binders lowers the nesting depth the host stack allows
-    if len(probes) == 1:
-        body = _as_body(fn(Expr(Probe(probes[0]))))
-    else:
-        body = _as_body(fn(*[Expr(Probe(p)) for p in probes]))
+    body = _as_body(fn(*[Expr(Probe(p)) for p in probes]))
     if double_eval_check:
         again = _fresh(len(probes))
         norm = body
