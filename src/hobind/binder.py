@@ -1,4 +1,4 @@
-"""Binding operators over host closures: lbind, abstr, LAM, abstr_2.
+"""Binding operators over host closures: lbind, abstr, LAM, classify.
 
 A closure from terms to terms is *syntactic* when it only ever builds
 with the term constructors around its argument; it then denotes a body
@@ -7,17 +7,18 @@ fresh opaque probe term: syntactic closures thread the probe through
 untouched, while closures that inspect their argument trip ``ExoticUse``
 inside the inspection operation.
 
-``ExoticUse`` carries the probe ids that were inspected. Every verdict
-(``abstr``, ``LAM``, ``ordinary``, ``abstr_2``, ``classify``,
-``abstr_lam_check``, ``openterm.reify``) comes from one session,
-``_session``, the one place that catches the exception, and only when
-one of its *own* probes is among them; an exception about an enclosing
-binder's argument keeps propagating, so a closure that branches on an
-outer variable poisons the outer check, not the inner one. This keeps
-nested binders sound: ``lam x. lam y. <body branching on x>`` is
-rejected at ``x``, while ``lam x. lam y. <body branching on y>``
-collapses the inner binder to the error term and leaves the outer one a
-perfectly good constant function.
+``ExoticUse`` carries the probe ids that were inspected. Every binding
+operation (``lbind``, ``abstr`` of any arity, ``LAM``, ``ordinary``,
+``classify``, ``abstr_lam_check``, ``openterm.reify``) runs one session,
+``_session``, the one place that calls a closure on probes (twice with
+``double_eval_check``) and catches the exception, only when one of its
+*own* probes is among them; an exception about an enclosing binder's
+argument keeps propagating, so a closure that branches on an outer
+variable poisons the outer check, not the inner one. This keeps nested
+binders sound: ``lam x. lam y. <body branching on x>`` is rejected at
+``x``, while ``lam x. lam y. <body branching on y>`` collapses the inner
+binder to the error term and leaves the outer one a perfectly good
+constant function.
 
 Detection is sound for closures that stay within the public term API.
 A closure that deliberately catches the opacity signal, reaches into
@@ -31,7 +32,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .expr import CON, ERR, VAR, Binder1, ExoticUse, Expr, _probe_free
+from .expr import CON, ERR, VAR, Binder1, ExoticUse, Expr, _probe_free, _raw
 from .terms import (
     Abs,
     App,
@@ -42,6 +43,7 @@ from .terms import (
     Probe,
     ProbeId,
     Var,
+    _not_natural,
     bind_probe,
     fresh_probe,
     instantiate,
@@ -74,58 +76,65 @@ def _as_body(out: object) -> DbTerm:
     return out._t
 
 
+def _check_arity(arity: object) -> None:
+    if type(arity) is not int or arity < 0:
+        raise ValueError(f"arity {arity!r} is not a natural number")
+
+
 def _fresh(arity: int) -> tuple[ProbeId, ...]:
     # arity 1, nearly every session, is spelled out: a generator here cost
     # as much as the rest of a session's set-up
     return (fresh_probe(),) if arity == 1 else tuple(fresh_probe() for _ in range(arity))
 
 
-def _probed(fn, probes: tuple[ProbeId, ...]) -> DbTerm:
-    # ``fn`` is called from here directly: every frame between two nested
-    # binders lowers the nesting depth the host stack allows
-    body = _as_body(fn(*[Expr(Probe(p)) for p in probes]))
-    if double_eval_check:
-        again = _fresh(len(probes))
-        norm = body
-        renorm = _as_body(fn(*[Expr(Probe(q)) for q in again]))
-        for p, q in zip(probes, again):
-            marker = Probe(fresh_probe())  # not forgeable by the closure
-            norm = replace_probe(norm, p, marker)
-            renorm = replace_probe(renorm, q, marker)
-        if norm != renorm:
-            raise PurityError("closure returned different bodies on re-evaluation")
-    return body
-
-
 def _session(fn, arity: int = 1) -> tuple[tuple[ProbeId, ...], DbTerm | None]:
-    """``fn`` evaluated on fresh probes: the probes and the body, which is
-    None exactly when ``fn`` inspected one of them. Inspecting an
-    enclosing binder's probe keeps propagating.
+    """The one call of a closure on probes: ``fn``'s fresh probes and
+    body, None exactly when ``fn`` inspected one of the probes. Inspecting
+    an enclosing binder's probe keeps propagating.
     """
-    probes = _fresh(arity)
+    probes = again = _fresh(arity)
     try:
-        return probes, _probed(fn, probes)
+        # ``fn`` is called from here directly: every frame between two
+        # nested binders lowers the nesting depth the host stack allows
+        body = _as_body(fn(*[Expr(Probe(p)) for p in probes]))
+        if double_eval_check:
+            again = _fresh(arity)
+            norm, renorm = body, _as_body(fn(*[Expr(Probe(q)) for q in again]))
+            for p, q in zip(probes, again):
+                marker = Probe(fresh_probe())  # not forgeable by the closure
+                norm = replace_probe(norm, p, marker)
+                renorm = replace_probe(renorm, q, marker)
+            if norm != renorm:
+                raise PurityError("closure returned different bodies on re-evaluation")
     except ExoticUse as exc:
-        if exc.pids.isdisjoint(probes):
+        if not exc.pids.isdisjoint(probes):
+            return probes, None
+        if exc.pids.isdisjoint(again):
             raise
-        return probes, None
+        raise PurityError("closure inspected its argument only on re-evaluation") from None
+    return probes, body
 
 
 def lbind(i: int, fn: Binder1) -> DbTerm:
     """Convert the closure's argument into the dangling index ``i`` (a
-    natural), incremented under each binder node of the body.
+    natural), incremented under each binder node of the body. An exotic
+    ``fn`` raises ``ExoticUse`` naming ``lbind`` and its own probe.
     """
-    if i < 0:  # refused before the closure runs
-        raise PreconditionViolated(f"lbind: negative index {i}")
-    p = fresh_probe()
-    body = _probed(fn, (p,))
+    if type(i) is not int or i < 0:  # refused before the closure runs
+        raise PreconditionViolated("lbind: " + _not_natural("index", i))
+    (p,), body = _session(fn)
+    if body is None:
+        raise ExoticUse(frozenset((p,)), "lbind")
     assert level(0, body), "internal: binder body left the proper layer"
     return _probe_free(bind_probe(body, p, i), "lbind")
 
 
-def abstr(fn: Binder1) -> bool:
-    """True iff ``fn`` is syntactic: it treats its argument opaquely."""
-    return _session(fn)[1] is not None
+def abstr(fn: Callable[..., Expr], arity: int = 1) -> bool:
+    """True iff ``fn``, a closure of ``arity`` arguments (a natural,
+    checked first), is syntactic: it treats its arguments opaquely.
+    """
+    _check_arity(arity)
+    return _session(fn, arity)[1] is not None
 
 
 def LAM(fn: Binder1) -> Expr:
@@ -147,11 +156,6 @@ def ordinary(fn: Binder1) -> bool:
     """
     (p,), body = _session(fn)
     return body is not None and not (type(body) is Probe and body.pid == p)
-
-
-def abstr_2(fn: Binder2) -> bool:
-    """Two-argument analogue of ``abstr``, decided on a pair of probes."""
-    return _session(fn, 2)[1] is not None
 
 
 @dataclass(frozen=True)
@@ -197,16 +201,15 @@ AbstrClassification = Union[
 ]
 
 
-def _section1(part: DbTerm, p: ProbeId) -> Binder1:
-    def section(x: Expr) -> Expr:
-        return Expr(replace_probe(part, p, x._t))
-
-    return section
-
-
-def _section2(body: DbTerm, p: ProbeId) -> Binder2:
-    def section(x: Expr, y: Expr) -> Expr:
-        return Expr(replace_probe(instantiate(body, 0, y._t), p, x._t))
+def _section(part: DbTerm, probes: tuple[ProbeId, ...]) -> Callable[..., Expr]:
+    """The closure that puts its k-th argument for ``probes[k]`` in ``part``."""
+    def section(*args: Expr) -> Expr:
+        if len(args) != len(probes):
+            raise TypeError(f"section takes {len(probes)} arguments, got {len(args)}")
+        t = part
+        for p, x in zip(probes, args):
+            t = replace_probe(t, p, _raw(x, "classify section"))
+        return Expr(t)
 
     return section
 
@@ -230,9 +233,11 @@ def classify(fn: Binder1) -> AbstrClassification:
         case Err():
             return ConstErr()
         case App(l, r):
-            return AppCase(_section1(l, p), _section1(r, p))
+            return AppCase(_section(l, (p,)), _section(r, (p,)))
         case Abs(b):
-            return LamCase(_section2(b, p))
+            # the inner binder opened once, on a probe of its own
+            q = fresh_probe()
+            return LamCase(_section(instantiate(b, 0, Probe(q)), (p, q)))
         case Probe(q):
             # the body is an enclosing binder's argument; naming its head
             # constructor would inspect it

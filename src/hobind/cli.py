@@ -22,7 +22,7 @@ from .binder import (
     abstr,
     classify,
 )
-from .expr import ExoticUse, NotProper, from_db, pretty as pretty_expr, to_db
+from .expr import ExoticUse, Expr, NotProper, from_db, pretty as pretty_expr, to_db
 from .named_lambda import NotAnAbstraction, NotInImage, OlSig
 from .terms import ParseError
 
@@ -110,16 +110,14 @@ def cmd_encode(text: str, out_form: str, sig: OlSig) -> int:
     if out_form == "named":
         print(named_lambda.pretty(named))
         return EXIT_OK
-    e = named_lambda.encode(named, sig)
-    if out_form == "hoas":
-        print(pretty_expr(e))
-    else:
-        print(terms.to_text(to_db(e)))
-    return EXIT_OK
+    return _write(named_lambda.encode(named, sig), out_form, sig)
 
 
 def cmd_show(text: str, out_form: str, sig: OlSig) -> int:
-    e = from_db(terms.from_text(text))
+    return _write(from_db(terms.from_text(text)), out_form, sig)
+
+
+def _write(e: Expr, out_form: str, sig: OlSig) -> int:
     if out_form == "named":
         print(named_lambda.pretty(named_lambda.decode(e, sig)))
     elif out_form == "hoas":

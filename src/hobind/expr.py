@@ -101,6 +101,15 @@ def _transparent(e: Expr, op: str, caller: str | None = None) -> DbTerm:
     return e._t
 
 
+def _raw(x: object, op: str) -> DbTerm:
+    """The representation of ``x``, probes included; for a non-Expr,
+    ``TypeError`` naming ``op``."""
+    try:
+        return x._t
+    except AttributeError:
+        raise _not_expr(op, x) from None
+
+
 def _probe_free(t: DbTerm, op: str) -> DbTerm:
     """``t``, provided it carries no probes: a raw tree holding a binder
     argument would let its caller read that argument's nodes."""
@@ -215,16 +224,7 @@ def cases(e: Expr) -> ExprView:
     if cls is App:
         return VApp(Expr(t.left), Expr(t.right))
     if cls is Abs:
-        body = t.body
-
-        def open_body(x: Expr) -> Expr:
-            try:
-                u = x._t
-            except AttributeError:
-                raise _not_expr("binder", x) from None
-            return Expr(instantiate(body, 0, u))
-
-        return VLam(open_body)
+        return VLam(lambda x: Expr(instantiate(t.body, 0, _raw(x, "binder"))))
     if cls is Con:
         return VCon(t.name)
     if cls is Var:

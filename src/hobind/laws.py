@@ -27,7 +27,6 @@ from .binder import (
     LAM,
     LamCase,
     abstr,
-    abstr_2,
     classify,
     ground_samples,
 )
@@ -144,11 +143,11 @@ def check_abstr2_componentwise(depth: int, seed: int, count: int) -> LawReport:
     report = LawReport("abstr-2-componentwise")
     for ot in _open_terms(2, depth, count, _stream(report.name, seed)):
         report.checked += 1
-        if not abstr_2(reflect(ot)):
+        if not abstr(reflect(ot), 2):
             report.failures.append(f"syntactic pair closure rejected: {ot_text(ot)}")
     for name, fn in exotic_library(2):
         report.checked += 1
-        if abstr_2(fn):
+        if abstr(fn, 2):
             report.failures.append(f"exotic pair closure accepted: {name}")
             continue
         slices = [lambda x, g=g: fn(x, g) for g in ground_samples()]
@@ -189,9 +188,6 @@ def check_round_trips(depth: int, seed: int, count: int) -> LawReport:
 
 
 def run_all(depth: int, seed: int, count: int) -> list[LawReport]:
-    return [
-        check_lam_injectivity(depth, seed, count),
-        check_characterization(depth, seed, count),
-        check_abstr2_componentwise(depth, seed, count),
-        check_round_trips(depth, seed, count),
-    ]
+    checks = (check_lam_injectivity, check_characterization,
+              check_abstr2_componentwise, check_round_trips)
+    return [check(depth, seed, count) for check in checks]

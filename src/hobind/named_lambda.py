@@ -25,8 +25,8 @@ encoded binder passes the syntactic-closure check. It makes exactly
 one ``LAM`` call per ``fn`` and builds raw de Bruijn nodes in between:
 an ``Expr`` wraps only what a closure returns, and the whole result.
 Its closures share one environment: each binds its name on entry and
-restores the outer binding on exit. Each ``LAM`` evaluates its closure
-inside the enclosing one, so ``encode`` still recurses in the host.
+restores the outer binding on exit. Applications go on an explicit
+stack; ``encode`` recurses in the host once per ``fn``, in ``LAM``.
 ``decode`` inverts the encoding with display names chosen by binder
 depth, so round trips are exact up to renaming. It matches the image's
 grammar, ``D ::= Var | Bnd | c_app $$ D $$ D | c_lam $$ Abs(D)``,
@@ -36,6 +36,7 @@ subtree outside it.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 import sys
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .binder import LAM
-from .expr import CON, VAR, Expr, _not_expr, _transparent, to_db
+from .expr import CON, VAR, Expr, _raw, _transparent, to_db
 from .terms import (Abs, App, Bnd, Con, DbTerm, ParseError, Var, _Branch, _node, _offset,
                     instantiate)
 
@@ -250,19 +251,29 @@ def encode(t: NamedTerm, sig: OlSig = DEFAULT_SIG) -> Expr:
     # raw trees throughout; Expr wraps only what a LAM closure returns,
     # so every binder body still passes its properness check
     def go(t: NamedTerm) -> DbTerm:
-        cls = type(t)
-        if cls is NApp:
-            return App(App(c_app, go(t.left)), go(t.right))
-        if cls is NVar:
-            try:
-                return env[t.name]
-            except KeyError:
-                raise ValueError(f"unbound variable {t.name!r}") from None
-        if cls is NFree:
-            return VAR(t.index)._t
-        if cls is NLam:
-            return App(c_lam, LAM(binder(t.name, t.body))._t)
-        raise TypeError(f"not a named term: {t!r}")
+        done: list[DbTerm] = []  # encoded subterms, innermost last
+        # named terms still to encode, or NApp to join the last two encoded
+        todo: list = [t]
+        while todo:
+            node = todo.pop()
+            cls = type(node)
+            if cls is NApp:
+                todo += (NApp, node.right, node.left)
+            elif cls is NVar:
+                try:
+                    done.append(env[node.name])
+                except KeyError:
+                    raise ValueError(f"unbound variable {node.name!r}") from None
+            elif node is NApp:
+                right = done.pop()
+                done[-1] = App(App(c_app, done[-1]), right)
+            elif cls is NFree:
+                done.append(VAR(node.index)._t)
+            elif cls is NLam:
+                done.append(App(c_lam, LAM(binder(node.name, node.body))._t))
+            else:
+                raise TypeError(f"not a named term: {node!r}")
+        return done[0]
 
     def binder(name: str, body: NamedTerm):
         def fn(x: Expr) -> Expr:
@@ -340,11 +351,7 @@ def apply_binder(e: Expr, arg: Expr, sig: OlSig = DEFAULT_SIG) -> Expr:
         raise NotAnAbstraction("expected an encoded abstraction")
     if type(t.right) is not Abs:
         raise NotAnAbstraction("abstraction head without a binder body")
-    try:
-        u = arg._t
-    except AttributeError:
-        raise _not_expr("apply_binder", arg) from None
-    return Expr(instantiate(t.right.body, 0, u))
+    return Expr(instantiate(t.right.body, 0, _raw(arg, "apply_binder")))
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +364,9 @@ _MAX_FREE = 2
 
 def enumerate_named_terms(max_size: int) -> Iterator[NamedTerm]:
     """All well-scoped named terms of node count <= max_size."""
-    memo: dict[tuple[int, frozenset[str]], list[NamedTerm]] = {}
 
+    @functools.cache
     def of_size(s: int, bound: frozenset[str]) -> list[NamedTerm]:
-        key = (s, bound)
-        if key in memo:
-            return memo[key]
         out: list[NamedTerm] = []
         if s == 1:
             out.extend(NVar(n) for n in sorted(bound))
@@ -376,7 +380,6 @@ def enumerate_named_terms(max_size: int) -> Iterator[NamedTerm]:
                     for l in of_size(a, bound)
                     for r in of_size(s - 1 - a, bound)
                 )
-        memo[key] = out
         return out
 
     for s in range(1, max_size + 1):

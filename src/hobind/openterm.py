@@ -19,17 +19,17 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, Union
 
 from . import binder
-from .binder import Binder2
+from .binder import _check_arity
 from .expr import (
     APP,
     CON,
     ERR,
     VAR,
-    Binder1,
     Expr,
     VApp,
     VCon,
     _probe_free,
+    _raw,
     cases,
     expr_equal,
     expr_size,
@@ -48,7 +48,9 @@ from .terms import (
     _Leaf,
     _leaf_offset,
     _node,
+    _not_natural,
     _parse_sexpr,
+    _setters,
     _write_text,
     level,
     replace_probe,
@@ -70,17 +72,19 @@ class Hole(_Leaf):
 
     index: int
 
+    def __init__(self, index: int):
+        if type(index) is not int or index < 0:
+            raise ValueError(_not_natural("hole index", index))
+        _hole_index(self, index)
+
+
+(_hole_index,) = _setters(Hole, "index")
 
 Body = Union[DbTerm, Hole]
 
 
 # node kinds an open-term body may hold besides holes
 _BODY_KINDS = (App, Abs, Con, Var, Err, Bnd)
-
-
-def _check_arity(arity: object) -> None:
-    if type(arity) is not int or arity < 0:
-        raise ValueError(f"arity {arity!r} is not a natural number")
 
 
 @dataclass(frozen=True)
@@ -98,9 +102,8 @@ class OpenTerm:
         top = -1  # the largest hole index, the first of equals
         for node, _ in walk(self.body):
             cls = type(node)
-            if cls is Hole and isinstance(node.index, int) and node.index >= 0:
-                if node.index > top:
-                    top = node.index
+            if cls is Hole:
+                top = node.index if node.index > top else top
             elif cls not in _BODY_KINDS:
                 raise ValueError(f"not an open-term body: {node!r}")
         if top >= self.arity:
@@ -135,14 +138,14 @@ def fill(body: Body, args: Sequence[DbTerm]) -> DbTerm:
 def reflect(ot: OpenTerm) -> Callable[..., Expr]:
     """The closure of ``ot.arity`` arguments substituting argument k for
     Hole(k); called with any other number of arguments it raises
-    ``ArityMismatch``.
+    ``ArityMismatch``, and with a non-``Expr`` one ``TypeError``.
     """
     arity, body = ot.arity, ot.body
 
     def fn(*args: Expr) -> Expr:
         if len(args) != arity:
             raise ArityMismatch(f"reflect: arity {arity}, called with {len(args)}")
-        return Expr(fill(body, [x._t for x in args]))
+        return Expr(fill(body, [_raw(x, "reflect") for x in args]))
 
     return fn
 
@@ -182,18 +185,14 @@ def enumerate_open_terms(arity: int, max_depth: int) -> Iterator[OpenTerm]:
     """All open-term bodies of height <= max_depth, duplicate-free."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    memo: dict[tuple[int, int], list[Body]] = {}
 
+    @functools.cache
     def bodies(depth: int, binders: int) -> list[Body]:
-        key = (depth, binders)
-        if key in memo:
-            return memo[key]
         out = list(_leaves(arity, binders))
         if depth >= 2:
             sub = bodies(depth - 1, binders)
             out.extend(App(l, r) for l in sub for r in sub)
             out.extend(Abs(b) for b in bodies(depth - 1, binders + 1))
-        memo[key] = out
         return out
 
     for b in bodies(max_depth, 0):
@@ -243,36 +242,33 @@ def _head_is_con(x: Expr) -> bool:
     return isinstance(cases(x), VCon)
 
 
+# the library by arity: one-argument and two-argument entries
+_EXOTIC: dict[int, tuple[tuple[str, Callable], ...]] = {
+    1: (
+        ("branch-on-con-head", lambda x: APP(x, x) if _head_is_con(x) else x),
+        ("equality-with-err", lambda x: CON("c1") if expr_equal(x, ERR()) else x),
+        ("branch-on-app-head", lambda x: VAR(0) if isinstance(cases(x), VApp) else ERR()),
+        ("export-to-db", lambda x: from_db(to_db(x))),
+        ("self-equality", lambda x: CON("c1") if expr_equal(x, x) else CON("c2")),
+        ("size-inspection", lambda x: VAR(expr_size(x))),
+    ),
+    2: (
+        ("pair-equality", lambda x, y: x if expr_equal(x, y) else y),
+        ("branch-on-first-head", lambda x, y: APP(x, y) if _head_is_con(x) else y),
+        ("pair-size", lambda x, y: VAR(expr_size(x) + expr_size(y))),
+    ),
+}
+
+
 def exotic_library(arity: int | None = None) -> list[tuple[str, Callable]]:
     """Named closures that inspect their arguments. ``arity`` filters to
     one-argument (1) or two-argument (2) entries.
     """
-    unary: list[tuple[str, Binder1]] = [
-        ("branch-on-con-head", lambda x: APP(x, x) if _head_is_con(x) else x),
-        ("equality-with-err", lambda x: CON("c1") if expr_equal(x, ERR()) else x),
-        (
-            "branch-on-app-head",
-            lambda x: VAR(0) if isinstance(cases(x), VApp) else ERR(),
-        ),
-        ("export-to-db", lambda x: from_db(to_db(x))),
-        ("self-equality", lambda x: CON("c1") if expr_equal(x, x) else CON("c2")),
-        ("size-inspection", lambda x: VAR(expr_size(x))),
-    ]
-    binary: list[tuple[str, Binder2]] = [
-        ("pair-equality", lambda x, y: x if expr_equal(x, y) else y),
-        (
-            "branch-on-first-head",
-            lambda x, y: APP(x, y) if _head_is_con(x) else y,
-        ),
-        ("pair-size", lambda x, y: VAR(expr_size(x) + expr_size(y))),
-    ]
-    if arity == 1:
-        return list(unary)
-    if arity == 2:
-        return list(binary)
     if arity is None:
-        return list(unary) + list(binary)
-    raise ValueError(f"no closures of arity {arity}")
+        return [entry for entries in _EXOTIC.values() for entry in entries]
+    if arity not in _EXOTIC:
+        raise ValueError(f"no closures of arity {arity}")
+    return list(_EXOTIC[arity])
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,8 @@ Every node class here, and every view and named term in other layers,
 is declared with ``_node``: a frozen slots dataclass that refuses every
 assignment and deletion with ``FrozenInstanceError`` and whose
 ``__init__`` stores each field through its slot descriptor's setter.
-``Bnd(i)`` and ``Var(i)`` refuse a negative ``i`` with ``ValueError``.
+``Bnd(i)`` and ``Var(i)`` refuse an ``i`` that is not a natural ``int``
+(a bool, a float, a negative number) with ``ValueError``.
 The inner nodes of both tree families, ``App`` and ``Abs`` here and the
 named terms' ``NLam`` and ``NApp``, derive from ``_Branch``: one ``==``,
 one ``hash`` and one ``repr`` for all four, each on an explicit stack
@@ -217,6 +218,11 @@ def _node(cls: type) -> type:
     return cls
 
 
+def _not_natural(what: str, n: object) -> str:
+    # the message refusing ``n``, not an int (a bool is not) or negative
+    return f"negative {what} {n}" if type(n) is int else f"{what} {n!r} is not a natural number"
+
+
 @_node
 class Con(_Leaf):
     """Object-language constant."""
@@ -231,8 +237,8 @@ class Var(_Leaf):
     index: int
 
     def __init__(self, index: int):
-        if index < 0:
-            raise ValueError(f"negative variable number {index}")
+        if type(index) is not int or index < 0:
+            raise ValueError(_not_natural("variable number", index))
         _var_index(self, index)
 
 
@@ -270,8 +276,8 @@ class Bnd(_Leaf):
     lvl: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, index: int):
-        if index < 0:
-            raise ValueError(f"negative index {index}")
+        if type(index) is not int or index < 0:
+            raise ValueError(_not_natural("index", index))
         _bnd_index(self, index)
         _bnd_lvl(self, index + 1)
 

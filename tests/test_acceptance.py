@@ -21,7 +21,6 @@ from hobind.binder import (
     Identity,
     LamCase,
     abstr,
-    abstr_2,
     abstr_lam_check,
     classify,
     ground_samples,
@@ -223,17 +222,17 @@ def test_c04_abstr2_componentwise(open2):
     checked = 0
     for ot in open2:
         checked += 1
-        if not abstr_2(reflect(ot)):
+        if not abstr(reflect(ot), 2):
             failures.append(ot_text(ot))
     for i in range(500):
         ot = gen_open_term(2, 6, seed=10_000 + i)
         checked += 1
-        if not abstr_2(reflect(ot)):
+        if not abstr(reflect(ot), 2):
             failures.append(ot_text(ot))
     grounds = ground_samples()
     for name, fn in exotic_library(2):
         checked += 1
-        if abstr_2(fn):
+        if abstr(fn, 2):
             failures.append(f"exotic pair closure {name} accepted")
             continue
         slices = [lambda x, g=g: fn(x, g) for g in grounds]

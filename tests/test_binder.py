@@ -15,7 +15,6 @@ from hobind.binder import (
     PremiseViolated,
     PurityError,
     abstr,
-    abstr_2,
     abstr_lam_check,
     classify,
     lbind,
@@ -27,6 +26,7 @@ from hobind.expr import (
     CON,
     ERR,
     VAR,
+    Expr,
     VCon,
     cases,
     expr_equal,
@@ -69,6 +69,17 @@ class TestLbind:
 
         with pytest.raises(ExoticUse):
             lbind(0, exotic_branch_on_con)
+
+    def test_exotic_names_lbind_and_its_own_probe(self):
+        seen = []
+
+        def fn(x):
+            seen.append(x._pids)
+            return exotic_branch_on_con(x)
+
+        with pytest.raises(ExoticUse) as exc:
+            lbind(0, fn)
+        assert exc.value.op == "lbind" and exc.value.pids == seen[0] and len(seen[0]) == 1
 
     @pytest.mark.parametrize("i", [-1, -3])
     def test_negative_index_refused_before_the_closure_runs(self, i):
@@ -260,17 +271,33 @@ class TestOrdinary:
 
 class TestAbstr2:
     def test_pairs(self):
-        assert abstr_2(lambda x, y: APP(x, y)) is True
-        assert abstr_2(lambda x, y: x) is True
-        assert abstr_2(lambda x, y: y) is True
-        assert abstr_2(lambda x, y: CON("c1")) is True
+        assert abstr(lambda x, y: APP(x, y), 2) is True
+        assert abstr(lambda x, y: x, 2) is True
+        assert abstr(lambda x, y: y, 2) is True
+        assert abstr(lambda x, y: CON("c1"), 2) is True
 
     def test_exotic_pairings(self):
-        assert abstr_2(lambda x, y: x if expr_equal(x, y) else y) is False
-        assert abstr_2(lambda x, y: APP(x, y) if is_con_headed(x) else y) is False
+        assert abstr(lambda x, y: x if expr_equal(x, y) else y, 2) is False
+        assert abstr(lambda x, y: APP(x, y) if is_con_headed(x) else y, 2) is False
 
     def test_nested_binding_inside_pair_body(self):
-        assert abstr_2(lambda x, y: LAM(lambda z: APP(APP(x, y), z))) is True
+        assert abstr(lambda x, y: LAM(lambda z: APP(APP(x, y), z)), 2) is True
+
+
+class TestAbstrArity:
+    def test_any_arity(self):
+        assert abstr(lambda: CON("c1"), 0) is True
+        assert abstr(lambda x, y, z: APP(z, LAM(lambda w: APP(w, x))), 3) is True
+        assert abstr(lambda x, y, z: x if expr_equal(y, z) else z, 3) is False
+
+    @pytest.mark.parametrize("arity", [True, 1.0, -1, "1", None])
+    def test_non_natural_arity_refused_before_the_closure_runs(self, arity):
+        def fn(*args):
+            raise AssertionError("the closure ran")
+
+        with pytest.raises(ValueError) as exc:
+            abstr(fn, arity)
+        assert str(exc.value) == f"arity {arity!r} is not a natural number"
 
 
 class TestSessionArity:
@@ -314,6 +341,30 @@ class TestClassify:
 
     def test_exotic(self):
         assert classify(exotic_branch_on_con) == Exotic()
+
+    def test_sections_refuse_what_is_not_an_expr(self):
+        app = classify(lambda x: APP(x, VAR(1)))
+        lam = classify(lambda x: LAM(lambda y: APP(x, y)))
+        for section, args in ((app.left, ("x",)), (app.right, (Var(0),)),
+                              (lam.body2, (VAR(0), "y")), (lam.body2, (None, VAR(0)))):
+            with pytest.raises(TypeError) as exc:
+                section(*args)
+            bad = next(a for a in args if not isinstance(a, Expr))
+            assert str(exc.value) == f"classify section expects an Expr, got {type(bad).__name__}"
+        # a section takes exactly as many arguments as it has probes, so
+        # none of them is left in its result
+        for section, args in ((app.left, ()), (lam.body2, (VAR(0),)),
+                              (lam.body2, (VAR(0), VAR(1), VAR(2)))):
+            with pytest.raises(TypeError, match="section takes"):
+                section(*args)
+
+    def test_two_argument_section_keeps_its_arguments_apart(self):
+        # an argument that is itself the first probe is not substituted
+        # again: the inner binder is opened on a probe of its own
+        leak = []
+        got = classify(lambda x: (leak.append(x), LAM(lambda y: APP(x, y)))[1])
+        assert isinstance(got, LamCase)
+        assert got.body2(VAR(0), leak[0])._t == App(Var(0), leak[0]._t)
 
     def test_own_bare_probe_and_an_enclosing_ones(self):
         # the closure's own probe is the identity; an enclosing binder's,
@@ -498,16 +549,29 @@ class TestEvaluationContract:
             calls.append((x, y))
             return APP(y, LAM(lambda z: APP(x, z)))
 
-        assert abstr_2(swap) is True
+        assert abstr(swap, 2) is True
         assert len(calls) == 2 and calls[0][0]._pids != calls[1][0]._pids
-        assert abstr_2(lambda x, y: x if expr_equal(x, y) else y) is False
+        assert abstr(lambda x, y: x if expr_equal(x, y) else y, 2) is False
         counter = itertools.count()
         with pytest.raises(PurityError):
-            abstr_2(lambda x, y: APP(x, VAR(next(counter))))
+            abstr(lambda x, y: APP(x, VAR(next(counter))), 2)
         # the arguments are compared by position: swapping them is impure
         flips = itertools.cycle([False, True])
         with pytest.raises(PurityError):
-            abstr_2(lambda x, y: APP(y, x) if next(flips) else APP(x, y))
+            abstr(lambda x, y: APP(y, x) if next(flips) else APP(x, y), 2)
+
+    def test_double_eval_flags_inspection_on_re_evaluation_only(self, monkeypatch):
+        # the second run inspects a probe of its own: the closure changed
+        # behaviour between runs, so this is impure, not exotic, and the
+        # opacity signal does not escape the verdict
+        monkeypatch.setattr(binder_mod, "double_eval_check", True)
+        for check in (abstr, LAM, classify, ordinary, lambda fn: lbind(0, fn)):
+            runs = itertools.count()
+            with pytest.raises(PurityError, match="only on re-evaluation"):
+                check(lambda x: exotic_branch_on_con(x) if next(runs) else x)
+        runs = itertools.count()
+        with pytest.raises(PurityError, match="only on re-evaluation"):
+            abstr(lambda x, y: APP(x, y) if next(runs) == 0 or is_con_headed(y) else y, 2)
 
     def test_non_expr_result_is_a_type_error(self):
         with pytest.raises(TypeError):

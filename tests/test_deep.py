@@ -5,9 +5,10 @@ numeral body. Each is a closed term ``ABS inner`` whose ``inner`` uses
 the outermost binder. ``decode`` and ``hobind decode`` get the same
 shapes encoded (``fn f. f #0 #1 ...``, ``fn x1. ... fn xn. x1 xn``,
 ``fn f. fn x. f (f ... x)``). All these inputs are built as de Bruijn
-trees directly, as ``encode`` recurses in the host. The named-term
-parser does not, and reads nested parentheses and binders of that depth;
-named terms of that depth compare, hash and pass ``alpha_eq`` and
+trees directly, as ``encode`` recurses in the host once per ``fn``;
+applications of that depth it encodes. The named-term parser does not
+recurse, and reads nested parentheses and binders of that depth; named
+terms of that depth compare, hash and pass ``alpha_eq`` and
 ``well_scoped`` too. ``repr`` prints terms of any depth, with the text
 the dataclass-generated ``repr`` gives a shallow one. Every test at that
 depth is ``stack_safe``: a regression to host recursion fails it in
@@ -31,6 +32,7 @@ from hobind.named_lambda import (
     NVar,
     alpha_eq,
     decode,
+    encode,
     enumerate_named_terms,
     parse,
     well_scoped,
@@ -339,6 +341,16 @@ def test_named_equality_hash_and_alpha_eq(name):
     assert t == u and hash(t) == hash(u) and alpha_eq(t, u)
     assert t != v and not alpha_eq(t, v)
     assert well_scoped(t) and well_scoped(v)
+
+
+@pytest.mark.parametrize("text", [
+    "#0" + " #1" * DEPTH, NAMED_SHAPES["left spine"][0], NAMED_SHAPES["right spine"][0],
+], ids=["arguments", "left spine", "right spine"])
+@stack_safe
+def test_encode_applications(text):
+    # encode builds what lies between two binders on its own stack
+    t = parse(text)
+    assert alpha_eq(decode(encode(t)), t)
 
 
 @stack_safe

@@ -1,6 +1,6 @@
 import pytest
 
-from hobind.binder import Exotic, LAM, abstr, abstr_2, classify
+from hobind.binder import Exotic, LAM, abstr, classify
 from hobind.expr import APP, CON, ERR, VAR, expr_equal
 from hobind.openterm import (
     ArityMismatch,
@@ -20,7 +20,8 @@ from hobind.terms import Abs, App, Bnd, Con, Err, Probe, Var, proper, size
 
 
 # (arity, body, message or None if valid); every message is the one the
-# validator gave when it collected the holes in a list
+# validator gave when it collected the holes in a list. A body given as a
+# function is built inside the test: one of its leaves refuses its index.
 VALIDATION = [
     (1, Hole(0), None),
     (2, App(Hole(1), Abs(App(Bnd(0), Hole(0)))), None),
@@ -33,20 +34,24 @@ VALIDATION = [
     # the largest hole is reported, wherever it stands
     (1, App(Hole(3), App(Hole(5), Hole(2))), "hole index 5 outside arity 1"),
     (2, Abs(App(Hole(4), Hole(9))), "hole index 9 outside arity 2"),
-    (1, App(Hole(True), Hole(1)), "hole index True outside arity 1"),
+    (1, lambda: App(Hole(True), Hole(1)), "hole index True is not a natural number"),
     # a foreign leaf anywhere in pre-order wins over a hole outside the arity
     (1, App(Probe(10**9), Hole(7)), "not an open-term body: Probe(pid=1000000000)"),
     (1, App(Hole(7), Abs(Probe(10**9))), "not an open-term body: Probe(pid=1000000000)"),
     (1, "nope", "not an open-term body: 'nope'"),
     (1, App(Hole(7), Abs(Bnd(3))), "hole index 7 outside arity 1"),
-    (2, App(Hole(-1), Hole(5)), "not an open-term body: Hole(index=-1)"),
-    (1, Hole("0"), "not an open-term body: Hole(index='0')"),
+    (2, lambda: App(Hole(-1), Hole(5)), "negative hole index -1"),
+    (1, lambda: Hole("0"), "hole index '0' is not a natural number"),
     # a dangling index comes last
     (1, Bnd(0), "open-term body has dangling indices"),
     (1, Abs(App(Bnd(1), Hole(0))), "open-term body has dangling indices"),
     (0, Con("c"), None),
     (True, Hole(0), "arity True is not a natural number"),
     (2.0, Bnd(0), "arity 2.0 is not a natural number"),
+    (1, lambda: Hole(1.0), "hole index 1.0 is not a natural number"),
+    (1, lambda: App(Var(1.5), Hole(0)), "variable number 1.5 is not a natural number"),
+    (1, lambda: Abs(App(Hole(0), Var(True))), "variable number True is not a natural number"),
+    (1, lambda: Abs(Bnd(0.5)), "index 0.5 is not a natural number"),
 ]
 
 
@@ -72,7 +77,7 @@ class TestOpenTermInvariants:
             assert OpenTerm(arity, body).body is body
         else:
             with pytest.raises(ValueError) as exc:
-                OpenTerm(arity, body)
+                OpenTerm(arity, body() if callable(body) else body)
             assert str(exc.value) == message
 
 
@@ -100,6 +105,13 @@ class TestReflect:
         # a binder hands the wrong number of probes: refused, not exotic
         with pytest.raises(ArityMismatch):
             abstr(reflect(OpenTerm(2, Hole(1))))
+
+    def test_non_expr_argument(self):
+        for fn, args in ((reflect(OpenTerm(1, Hole(0))), ("x",)),
+                         (reflect(OpenTerm(2, Con("c"))), (VAR(0), Con("c")))):
+            with pytest.raises(TypeError) as exc:
+                fn(*args)
+            assert str(exc.value) == f"reflect expects an Expr, got {type(args[-1]).__name__}"
 
     def test_reflected_closures_are_syntactic(self):
         for ot in enumerate_open_terms(1, 3):
@@ -176,7 +188,7 @@ class TestReifyReflect2:
 class TestComponentwiseOracle:
     def test_agrees_with_closure_check(self):
         for ot in enumerate_open_terms(2, 3):
-            assert abstr_2(reflect(ot))
+            assert abstr(reflect(ot), 2)
 
     def test_slice_families_are_syntactic(self):
         from hobind.binder import ground_samples
@@ -190,7 +202,7 @@ class TestComponentwiseOracle:
             assert all(abstr(lambda y, g=g: fn(g, y)) for g in grounds)
         for s in range(100):
             fn = reflect(gen_open_term(2, 6, seed=50_000 + s))
-            assert abstr_2(fn)
+            assert abstr(fn, 2)
             assert all(abstr(lambda x, g=g: fn(x, g)) for g in grounds)
 
 
@@ -294,7 +306,7 @@ class TestExoticLibrary:
 
     def test_binary_all_fail(self):
         for name, fn in exotic_library(2):
-            assert abstr_2(fn) is False, name
+            assert abstr(fn, 2) is False, name
 
     def test_binary_has_failing_slice(self):
         from hobind.binder import ground_samples

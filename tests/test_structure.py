@@ -1,6 +1,7 @@
-"""Structural guards over ``src/hobind``: one binding session catches the
-opacity signal, and the public names are pinned so that any addition or
-removal shows up as a change to this file.
+"""Structural guards over ``src/hobind``: one binding session calls
+closures on probes and catches the opacity signal, and the public names
+are pinned so that any addition or removal shows up as a change to this
+file.
 """
 
 import ast
@@ -45,15 +46,15 @@ def test_only_the_session_catches_exotic_use():
     ]
 
 
-def test_only_session_and_lbind_run_a_probed_evaluation():
-    uses = top_level_uses(
-        lambda n: isinstance(n, ast.Name) and n.id == "_probed"
-        or isinstance(n, ast.Attribute) and n.attr == "_probed"
+def test_only_the_session_calls_closures_on_probes():
+    # a closure is called on probes only where a probe is wrapped as an
+    # Expr, ``Expr(Probe(...))``; every binding operation, lbind included,
+    # reaches one through the session
+    probed = top_level_uses(
+        lambda n: isinstance(n, ast.Call) and "Expr" in names_in(n.func)
+        and any(isinstance(a, ast.Call) and "Probe" in names_in(a.func) for a in n.args)
     )
-    assert sorted((module, owner) for module, owner, _ in uses) == [
-        ("binder", "_session"),
-        ("binder", "lbind"),
-    ]
+    assert sorted({(module, owner) for module, owner, _ in probed}) == [("binder", "_session")]
 
 
 PUBLIC = {
@@ -62,11 +63,10 @@ PUBLIC = {
     "DbTerm", "ERR", "Err", "Exotic", "ExoticUse", "Expr", "ExprView",
     "Identity", "LAM", "LamCase", "NotProper", "ParseError",
     "PreconditionViolated", "PremiseViolated", "PurityError", "VAR", "VApp",
-    "VCon", "VErr", "VLam", "VVar", "Var", "abstr", "abstr_2",
-    "abstr_lam_check", "bind_probe", "cases", "classify", "expr_equal",
-    "expr_size", "fresh_probe", "from_db", "from_text", "instantiate",
-    "lbind", "level", "ordinary", "pretty", "proper", "size", "to_db",
-    "to_text",
+    "VCon", "VErr", "VLam", "VVar", "Var", "abstr", "abstr_lam_check",
+    "bind_probe", "cases", "classify", "expr_equal", "expr_size",
+    "fresh_probe", "from_db", "from_text", "instantiate", "lbind", "level",
+    "ordinary", "pretty", "proper", "size", "to_db", "to_text",
 }
 
 

@@ -292,12 +292,29 @@ class TestEquality:
 class TestNegativeIndices:
     """Indices are naturals, as ``VAR`` and the text reader require."""
 
-    @pytest.mark.parametrize("make", [Bnd, Var])
+    @pytest.mark.parametrize("make", [Bnd, Var, Hole])
     def test_refused_at_construction(self, make):
         for index in (-1, -3):
             with pytest.raises(ValueError, match="negative"):
                 make(index)
         assert make(0).index == 0
+
+    @pytest.mark.parametrize("make", [Bnd, Var, Hole])
+    def test_non_naturals_refused_at_construction(self, make):
+        # a bool or a float equal to a natural is still refused
+        for index in (1.5, 0.5, True, False, 1.0, "a", None):
+            with pytest.raises(ValueError, match=f"{index!r} is not a natural number"):
+                make(index)
+
+    def test_lbind_refuses_a_non_natural_index(self):
+        # at 1.5 the closure ran and the probe became Bnd(1.5)
+        def fn(x):
+            raise AssertionError("the closure ran")
+
+        for i in (1.5, True, 1.0, "0", None):
+            with pytest.raises(PreconditionViolated) as exc:
+                lbind(i, fn)
+            assert str(exc.value) == f"lbind: index {i!r} is not a natural number"
 
     def test_binding_at_a_negative_index(self):
         # refused as ``instantiate`` refuses it, with or without an
