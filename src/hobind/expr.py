@@ -135,9 +135,7 @@ def CON(name: str) -> Expr:
 
 
 def VAR(n: int) -> Expr:
-    """Free variable number ``n``."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"variable number must be a natural, got {n!r}")
+    """Free variable number ``n``, a natural."""
     return Expr(Var(n))
 
 

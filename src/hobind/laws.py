@@ -1,13 +1,16 @@
 """Randomized and exhaustive sweeps of the binding laws.
 
-Each runner checks one law family over an exhaustive small-term sweep
-plus seeded random instances, returning a report with the failures
-rendered in the canonical textual forms. The checks compare terms
-through ``db_key`` so a deliberately broken key function (used by the
-mutation smoke tests) surfaces as law violations.
+Each law checks one law family over an exhaustive small-term sweep plus
+seeded random instances. Its body yields one verdict per check: the
+failure rendered in the canonical textual forms, or None. One runner,
+``_law``, turns a body into the law's check: it builds the report, counts
+the checks and collects the failures. The checks compare terms through
+``db_key`` so a deliberately broken key function (used by the mutation
+smoke tests) surfaces as law violations.
 
-Each law draws all its random cases, in order, from one stream
-(``_stream``), so the first ``k`` do not depend on ``count``.
+The runner hands each law one stream (``_stream``), from which the law
+draws all its random cases in order, so the first ``k`` do not depend on
+``count``.
 """
 
 from __future__ import annotations
@@ -71,6 +74,28 @@ def _stream(law: str, seed: int) -> random.Random:
     return random.Random(f"{law}:{seed}")
 
 
+def _law(name: str):
+    """The law runner: turns ``cases(depth, rng, count)``, a generator
+    yielding one verdict per check (a failure message, or None when the
+    check held), into the ``(depth, seed, count) -> LawReport`` check of
+    law ``name``, whose random cases come from ``_stream(name, seed)``.
+    """
+    def runner(cases):
+        def check(depth: int, seed: int, count: int) -> LawReport:
+            report = LawReport(name)
+            for failure in cases(depth, _stream(name, seed), count):
+                report.checked += 1
+                if failure is not None:
+                    report.failures.append(failure)
+            return report
+
+        check.__name__ = check.__qualname__ = cases.__name__
+        check.__doc__ = cases.__doc__
+        return check
+
+    return runner
+
+
 def _open_terms(arity: int, depth: int, count: int = 0,
                 rng: random.Random | None = None) -> Iterator[OpenTerm]:
     """Every open term up to the exhaustive depth cap, then ``count`` drawn from ``rng``."""
@@ -79,33 +104,20 @@ def _open_terms(arity: int, depth: int, count: int = 0,
         yield _draw_open_term(rng, arity, depth)
 
 
-def check_lam_injectivity(depth: int, seed: int, count: int) -> LawReport:
+@_law("lam-injectivity")
+def check_lam_injectivity(depth: int, rng: random.Random, count: int) -> Iterator[str | None]:
     """Distinct open terms have distinct binder images, and equal ones
     equal images, over exhaustive pairs plus random pairs.
     """
-    report = LawReport("lam-injectivity")
     buckets: dict[str, OpenTerm] = {}
     for ot in _open_terms(1, depth):
-        key = db_key(to_db(LAM(reflect(ot))))
-        report.checked += 1
-        seen = buckets.get(key)
-        if seen is None:
-            buckets[key] = ot
-        elif seen != ot:
-            report.failures.append(
-                f"equal binder images for distinct bodies: {ot_text(seen)} vs {ot_text(ot)}"
-            )
-    rng = _stream(report.name, seed)
+        seen = buckets.setdefault(db_key(to_db(LAM(reflect(ot)))), ot)
+        yield None if seen == ot else (
+            f"equal binder images for distinct bodies: {ot_text(seen)} vs {ot_text(ot)}")
     for _ in range(count):
         a, b = _draw_open_term(rng, 1, depth), _draw_open_term(rng, 1, depth)
-        key_a = db_key(to_db(LAM(reflect(a))))
-        key_b = db_key(to_db(LAM(reflect(b))))
-        report.checked += 1
-        if (key_a == key_b) != (a == b):
-            report.failures.append(
-                f"injectivity mismatch: {ot_text(a)} vs {ot_text(b)}"
-            )
-    return report
+        same = db_key(to_db(LAM(reflect(a)))) == db_key(to_db(LAM(reflect(b))))
+        yield None if same == (a == b) else f"injectivity mismatch: {ot_text(a)} vs {ot_text(b)}"
 
 
 # the classification each open-term body's head constructor dictates
@@ -113,78 +125,63 @@ _EXPECTED_SHAPE = {Hole: Identity, Con: ConstCon, Var: ConstVar, Err: ConstErr,
                    App: AppCase, Abs: LamCase}
 
 
-def check_characterization(depth: int, seed: int, count: int) -> LawReport:
+@_law("characterization")
+def check_characterization(depth: int, rng: random.Random, count: int) -> Iterator[str | None]:
     """Classification picks exactly the disjunct the body head dictates,
     and the exotic variant appears exactly for non-syntactic closures.
     """
-    report = LawReport("characterization")
-    for ot in _open_terms(1, depth, count, _stream(report.name, seed)):
+    for ot in _open_terms(1, depth, count, rng):
         fn = reflect(ot)
         got = classify(fn)
-        report.checked += 1
         if not isinstance(got, _EXPECTED_SHAPE[type(ot.body)]):
-            report.failures.append(
-                f"classified {ot_text(ot)} as {type(got).__name__}"
-            )
-        elif not abstr(fn):
-            report.failures.append(f"syntactic body flagged exotic: {ot_text(ot)}")
+            yield f"classified {ot_text(ot)} as {type(got).__name__}"
+        else:
+            yield None if abstr(fn) else f"syntactic body flagged exotic: {ot_text(ot)}"
     for name, fn in exotic_library(1):
-        report.checked += 1
-        if classify(fn) != Exotic() or abstr(fn):
-            report.failures.append(f"exotic closure not flagged: {name}")
-    return report
+        exotic = classify(fn) == Exotic() and not abstr(fn)
+        yield None if exotic else f"exotic closure not flagged: {name}"
 
 
-def check_abstr2_componentwise(depth: int, seed: int, count: int) -> LawReport:
+@_law("abstr-2-componentwise")
+def check_abstr2_componentwise(depth: int, rng: random.Random, count: int) -> Iterator[str | None]:
     """The pair-binder check accepts every syntactic two-argument closure,
     and each exotic one in the library is rejected and has a rejected
     one-argument slice with the other argument fixed to a ground term.
     """
-    report = LawReport("abstr-2-componentwise")
-    for ot in _open_terms(2, depth, count, _stream(report.name, seed)):
-        report.checked += 1
-        if not abstr(reflect(ot), 2):
-            report.failures.append(f"syntactic pair closure rejected: {ot_text(ot)}")
+    for ot in _open_terms(2, depth, count, rng):
+        yield None if abstr(reflect(ot), 2) else f"syntactic pair closure rejected: {ot_text(ot)}"
     for name, fn in exotic_library(2):
-        report.checked += 1
         if abstr(fn, 2):
-            report.failures.append(f"exotic pair closure accepted: {name}")
+            yield f"exotic pair closure accepted: {name}"
             continue
         slices = [lambda x, g=g: fn(x, g) for g in ground_samples()]
         slices += [lambda y, g=g: fn(g, y) for g in ground_samples()]
-        if all(abstr(s) for s in slices):
-            report.failures.append(f"exotic pair closure has no failing slice: {name}")
-    return report
+        failing = not all(abstr(s) for s in slices)
+        yield None if failing else f"exotic pair closure has no failing slice: {name}"
 
 
-def check_round_trips(depth: int, seed: int, count: int) -> LawReport:
+@_law("round-trips")
+def check_round_trips(depth: int, rng: random.Random, count: int) -> Iterator[str | None]:
     """Reification, the proper-layer morphisms, and the object-language
     codec all invert as stated.
     """
-    report = LawReport("round-trips")
-    rng = _stream(report.name, seed)
     # a random case is an open term and a named term, drawn in that order
     drawn = [(_draw_open_term(rng, 1, depth), _draw_named_term(rng, 12)) for _ in range(count)]
     for ot in itertools.chain(_open_terms(1, depth), (ot for ot, _ in drawn)):
-        report.checked += 1
-        if reify(reflect(ot)) != ot:
-            report.failures.append(f"reify/reflect mismatch: {ot_text(ot)}")
+        yield None if reify(reflect(ot)) == ot else f"reify/reflect mismatch: {ot_text(ot)}"
     for t in enumerate_db_terms(5):
-        report.checked += 1
         if proper(t):
-            if db_key(to_db(from_db(t))) != db_key(t):
-                report.failures.append(f"morphism round trip broke: {to_text(t)}")
+            same = db_key(to_db(from_db(t))) == db_key(t)
+            yield None if same else f"morphism round trip broke: {to_text(t)}"
+            continue
+        try:
+            from_db(t)
+        except NotProper:
+            yield None
         else:
-            try:
-                from_db(t)
-                report.failures.append(f"dangling term accepted: {to_text(t)}")
-            except NotProper:
-                pass
+            yield f"dangling term accepted: {to_text(t)}"
     for _, t in drawn:
-        report.checked += 1
-        if not alpha_eq(decode(encode(t)), t):
-            report.failures.append(f"codec round trip broke: {pretty(t)}")
-    return report
+        yield None if alpha_eq(decode(encode(t)), t) else f"codec round trip broke: {pretty(t)}"
 
 
 def run_all(depth: int, seed: int, count: int) -> list[LawReport]:

@@ -24,9 +24,11 @@ binding operator merely assembles syntax around its argument, every
 encoded binder passes the syntactic-closure check. It makes exactly
 one ``LAM`` call per ``fn`` and builds raw de Bruijn nodes in between:
 an ``Expr`` wraps only what a closure returns, and the whole result.
-Its closures share one environment: each binds its name on entry and
-restores the outer binding on exit. Applications go on an explicit
-stack; ``encode`` recurses in the host once per ``fn``, in ``LAM``.
+Each closure encodes its body in an environment of its own, a copy of
+the enclosing one extended by its name, so it is a plain function of its
+argument and can be run again (``double_eval_check`` does). The copy
+costs O(depth) per binder. Applications go on an explicit stack;
+``encode`` recurses in the host once per ``fn``, in ``LAM``.
 ``decode`` inverts the encoding with display names chosen by binder
 depth, so round trips are exact up to renaming. It matches the image's
 grammar, ``D ::= Var | Bnd | c_app $$ D $$ D | c_lam $$ Abs(D)``,
@@ -44,9 +46,9 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .binder import LAM
-from .expr import CON, VAR, Expr, _raw, _transparent, to_db
-from .terms import (Abs, App, Bnd, Con, DbTerm, ParseError, Var, _Branch, _node, _offset,
-                    instantiate)
+from .expr import CON, Binder1, Expr, _raw, _transparent, to_db
+from .terms import (Abs, App, Bnd, Con, DbTerm, ParseError, Var, _Branch, _node,
+                    _not_natural, _offset, _setters, instantiate)
 
 
 class NotInImage(Exception):
@@ -69,6 +71,14 @@ class NFree:
     """Free variable, numbered."""
 
     index: int
+
+    def __init__(self, index: int):
+        if type(index) is not int or index < 0:
+            raise ValueError(_not_natural("variable number", index))
+        _nfree_index(self, index)
+
+
+(_nfree_index,) = _setters(NFree, "index")
 
 
 @_node
@@ -246,11 +256,11 @@ def pretty(t: NamedTerm) -> str:
 
 def encode(t: NamedTerm, sig: OlSig = DEFAULT_SIG) -> Expr:
     c_app, c_lam = Con(sig.c_app), Con(sig.c_lam)  # names OlSig has checked
-    env: dict[str, DbTerm] = {}  # bound name -> the innermost binder's argument
 
-    # raw trees throughout; Expr wraps only what a LAM closure returns,
-    # so every binder body still passes its properness check
-    def go(t: NamedTerm) -> DbTerm:
+    # raw trees throughout, in ``env``: bound name -> the innermost
+    # binder's argument; Expr wraps only what a LAM closure returns, so
+    # every binder body still passes its properness check
+    def go(t: NamedTerm, env: dict[str, DbTerm]) -> DbTerm:
         done: list[DbTerm] = []  # encoded subterms, innermost last
         # named terms still to encode, or NApp to join the last two encoded
         todo: list = [t]
@@ -268,28 +278,18 @@ def encode(t: NamedTerm, sig: OlSig = DEFAULT_SIG) -> Expr:
                 right = done.pop()
                 done[-1] = App(App(c_app, done[-1]), right)
             elif cls is NFree:
-                done.append(VAR(node.index)._t)
+                done.append(Var(node.index))
             elif cls is NLam:
-                done.append(App(c_lam, LAM(binder(node.name, node.body))._t))
+                done.append(App(c_lam, LAM(binder(node.name, node.body, env))._t))
             else:
                 raise TypeError(f"not a named term: {node!r}")
         return done[0]
 
-    def binder(name: str, body: NamedTerm):
-        def fn(x: Expr) -> Expr:
-            outer = env.get(name)
-            env[name] = x._t
-            try:
-                return Expr(go(body))
-            finally:  # called again by double_eval_check, or left by an exception
-                if outer is None:
-                    del env[name]
-                else:
-                    env[name] = outer
+    def binder(name: str, body: NamedTerm, env: dict[str, DbTerm]) -> Binder1:
+        # the body in an environment of its own: the closure keeps no state
+        return lambda x: Expr(go(body, {**env, name: x._t}))
 
-        return fn
-
-    return Expr(go(t))
+    return Expr(go(t, {}))
 
 
 def decode(e: Expr, sig: OlSig = DEFAULT_SIG) -> NamedTerm:

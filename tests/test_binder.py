@@ -34,6 +34,7 @@ from hobind.expr import (
     from_db,
     to_db,
 )
+from hobind.openterm import reify
 from hobind.terms import Abs, App, Bnd, Con, Err, PreconditionViolated, Probe, Var, proper
 
 
@@ -574,5 +575,10 @@ class TestEvaluationContract:
             abstr(lambda x, y: APP(x, y) if next(runs) == 0 or is_con_headed(y) else y, 2)
 
     def test_non_expr_result_is_a_type_error(self):
-        with pytest.raises(TypeError):
-            abstr(lambda x: 42)
+        # the session reads every closure result through expr._raw
+        for check, fn, bad in ((abstr, lambda x: 42, "int"), (LAM, lambda x: None, "NoneType"),
+                               (reify, lambda x: Con("c"), "Con"),
+                               (lambda fn: abstr(fn, 2), lambda x, y: "y", "str")):
+            with pytest.raises(TypeError) as exc:
+                check(fn)
+            assert str(exc.value) == f"binding operation expects an Expr, got {bad}"

@@ -165,12 +165,17 @@ class TestEncode:
 
     @pytest.mark.parametrize("index", [-1, True, 1.0, "1"])
     def test_bad_free_index_fails_at_every_occurrence(self, index):
-        bad = NFree(index)
-        for t in (bad, NApp(bad, NFree(1)), NApp(NFree(1), bad),
-                  NApp(NApp(NFree(1), NLam("x", NApp(NFree(1), NVar("x")))), bad),
-                  NApp(NApp(bad, NFree(1)), bad)):
-            with pytest.raises(ValueError, match="variable number must be a natural"):
-                encode(t)
+        # refused where the term is built, as Var refuses it, so that no
+        # named term encode, pretty or well_scoped is given holds one
+        message = ("negative variable number -1" if index == -1
+                   else f"variable number {index!r} is not a natural number")
+        for build in (lambda: NFree(index),
+                      lambda: NApp(NFree(index), NFree(1)),
+                      lambda: NApp(NFree(1), NFree(index)),
+                      lambda: NApp(NLam("x", NApp(NFree(1), NVar("x"))), NFree(index))):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
 
 
 def differential_terms():
@@ -216,9 +221,9 @@ def first_failing_depth(encoder):
 
 
 class TestEncodeAgainstReference:
-    """``encode`` builds raw nodes and shares one environment; the
-    reference builds every node with APP/VAR and copies its environment
-    per binder.
+    """``encode`` builds raw nodes on an explicit stack; the reference
+    builds every node with APP/VAR in a recursion. Both give each binder's
+    closure a copy of its environment, extended by the binder's name.
     """
 
     def test_same_trees(self):

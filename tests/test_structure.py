@@ -1,5 +1,6 @@
 """Structural guards over ``src/hobind``: one binding session calls
-closures on probes and catches the opacity signal, and the public names
+closures on probes and catches the opacity signal, one runner reports
+every law, ``encode``'s closures restore no state, and the public names
 are pinned so that any addition or removal shows up as a change to this
 file.
 """
@@ -55,6 +56,23 @@ def test_only_the_session_calls_closures_on_probes():
         and any(isinstance(a, ast.Call) and "Probe" in names_in(a.func) for a in n.args)
     )
     assert sorted({(module, owner) for module, owner, _ in probed}) == [("binder", "_session")]
+
+
+def test_only_the_law_runner_reports_and_seeds():
+    # each law yields its verdicts; one runner builds the report, seeds
+    # the law's stream and counts the checks
+    for name in ("LawReport", "_stream"):
+        calls = top_level_uses(
+            lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            and n.func.id == name
+        )
+        assert [(module, owner) for module, owner, _ in calls] == [("laws", "_law")]
+
+
+def test_encode_keeps_no_state_to_restore():
+    # each binder closure of encode gets an environment of its own
+    tree = ast.parse((SRC / "named_lambda.py").read_text(encoding="utf-8"))
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.Try) and n.finalbody]
 
 
 PUBLIC = {

@@ -292,14 +292,14 @@ class TestEquality:
 class TestNegativeIndices:
     """Indices are naturals, as ``VAR`` and the text reader require."""
 
-    @pytest.mark.parametrize("make", [Bnd, Var, Hole])
+    @pytest.mark.parametrize("make", [Bnd, Var, Hole, NFree])
     def test_refused_at_construction(self, make):
         for index in (-1, -3):
             with pytest.raises(ValueError, match="negative"):
                 make(index)
         assert make(0).index == 0
 
-    @pytest.mark.parametrize("make", [Bnd, Var, Hole])
+    @pytest.mark.parametrize("make", [Bnd, Var, Hole, NFree])
     def test_non_naturals_refused_at_construction(self, make):
         # a bool or a float equal to a natural is still refused
         for index in (1.5, 0.5, True, False, 1.0, "a", None):
