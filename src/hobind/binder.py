@@ -43,7 +43,7 @@ from .terms import (
     Probe,
     ProbeId,
     Var,
-    _not_natural,
+    _natural,
     bind_probe,
     fresh_probe,
     instantiate,
@@ -62,15 +62,14 @@ class PurityError(Exception):
     """Double evaluation produced different bodies (impure closure)."""
 
 
+class ArityMismatch(TypeError):
+    """A section, reflected closures included, called with a wrong argument count."""
+
+
 # When enabled, every probed evaluation runs twice on distinct probes and
 # the bodies are compared after renaming; catches closures with hidden
 # state. Off by default: it doubles evaluation counts.
 double_eval_check = False
-
-
-def _check_arity(arity: object) -> None:
-    if type(arity) is not int or arity < 0:
-        raise ValueError(f"arity {arity!r} is not a natural number")
 
 
 def _fresh(arity: int) -> tuple[ProbeId, ...]:
@@ -113,8 +112,10 @@ def lbind(i: int, fn: Binder1) -> DbTerm:
     natural), incremented under each binder node of the body. An exotic
     ``fn`` raises ``ExoticUse`` naming ``lbind`` and its own probe.
     """
-    if type(i) is not int or i < 0:  # refused before the closure runs
-        raise PreconditionViolated("lbind: " + _not_natural("index", i))
+    try:  # refused before the closure runs
+        _natural("index", i)
+    except ValueError as exc:
+        raise PreconditionViolated(f"lbind: {exc}") from None
     (p,), body = _session(fn)
     if body is None:
         raise ExoticUse(frozenset((p,)), "lbind")
@@ -126,8 +127,7 @@ def abstr(fn: Callable[..., Expr], arity: int = 1) -> bool:
     """True iff ``fn``, a closure of ``arity`` arguments (a natural,
     checked first), is syntactic: it treats its arguments opaquely.
     """
-    _check_arity(arity)
-    return _session(fn, arity)[1] is not None
+    return _session(fn, _natural("arity", arity))[1] is not None
 
 
 def LAM(fn: Binder1) -> Expr:
@@ -194,14 +194,21 @@ AbstrClassification = Union[
 ]
 
 
-def _section(part: DbTerm, probes: tuple[ProbeId, ...]) -> Callable[..., Expr]:
-    """The closure that puts its k-th argument for ``probes[k]`` in ``part``."""
+def _section(part: DbTerm, ids: tuple[ProbeId, ...],
+             op: str = "classify section") -> Callable[..., Expr]:
+    """The closure that puts its k-th argument for the placeholder
+    ``ids[k]`` (a probe's id, or ``~j`` for ``Hole(j)``) in ``part``;
+    ``op`` names it when an argument is not an ``Expr``. Replacing the
+    ids one after another gives the substitution of all at once, as no
+    argument holds an id replaced after it: an ``Expr`` holds no hole,
+    and the inner probe of a ``LamCase`` is never handed out.
+    """
     def section(*args: Expr) -> Expr:
-        if len(args) != len(probes):
-            raise TypeError(f"section takes {len(probes)} arguments, got {len(args)}")
+        if len(args) != len(ids):
+            raise ArityMismatch(f"section takes {len(ids)} arguments, got {len(args)}")
         t = part
-        for p, x in zip(probes, args):
-            t = replace_probe(t, p, _raw(x, "classify section"))
+        for p, x in zip(ids, args):
+            t = replace_probe(t, p, _raw(x, op))
         return Expr(t)
 
     return section

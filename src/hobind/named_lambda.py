@@ -48,7 +48,7 @@ from typing import Iterator, Union
 from .binder import LAM
 from .expr import CON, Binder1, Expr, _raw, _transparent, to_db
 from .terms import (Abs, App, Bnd, Con, DbTerm, ParseError, Var, _Branch, _node,
-                    _not_natural, _offset, _setters, instantiate)
+                    _natural, _offset, _setters, instantiate)
 
 
 class NotInImage(Exception):
@@ -73,9 +73,7 @@ class NFree:
     index: int
 
     def __init__(self, index: int):
-        if type(index) is not int or index < 0:
-            raise ValueError(_not_natural("variable number", index))
-        _nfree_index(self, index)
+        _nfree_index(self, _natural("variable number", index))
 
 
 (_nfree_index,) = _setters(NFree, "index")

@@ -7,6 +7,12 @@ closure; ``reify`` inverts that by probing. Everything a
 binder law quantifies over can therefore be enumerated here and checked
 against the closure-level implementation.
 
+A hole is a placeholder as a binder's probe is: ``Hole(k)`` caches the
+id ``~k`` in ``pids``, which no probe has. So ``reflect`` is a
+``binder._section`` over ``~0, ..., ~(arity - 1)``, ``OpenTerm`` checks
+a body by its cached fields alone, with no walk, and every inspection of
+an ``Expr`` refuses a hole as it refuses a probe.
+
 Also home to the generators used by the property sweeps and to the
 library of deliberately exotic closures.
 """
@@ -15,21 +21,20 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Union
 
 from . import binder
-from .binder import _check_arity
+from .binder import ArityMismatch as ArityMismatch
 from .expr import (
     APP,
     CON,
     ERR,
     VAR,
+    ExoticUse,
     Expr,
     VApp,
     VCon,
-    _probe_free,
-    _raw,
     cases,
     expr_equal,
     expr_size,
@@ -44,11 +49,12 @@ from .terms import (
     DbTerm,
     Err,
     ParseError,
+    Probe,
     Var,
     _Leaf,
     _leaf_offset,
+    _natural,
     _node,
-    _not_natural,
     _parse_sexpr,
     _setters,
     _write_text,
@@ -58,33 +64,25 @@ from .terms import (
 )
 
 
-class ArityMismatch(Exception):
-    """Open term arity does not fit the requested operation."""
-
-
 class ExoticFunction(Exception):
     """A non-syntactic closure has no open-term representation."""
 
 
 @_node
 class Hole(_Leaf):
-    """Placeholder for argument ``index`` of the reflected closure."""
+    """Placeholder for argument ``index`` of the reflected closure, with id ``~index``."""
 
     index: int
+    pids: frozenset = field(init=False, repr=False, compare=False)
 
     def __init__(self, index: int):
-        if type(index) is not int or index < 0:
-            raise ValueError(_not_natural("hole index", index))
-        _hole_index(self, index)
+        _hole_index(self, _natural("hole index", index))
+        _hole_pids(self, frozenset((~index,)))
 
 
-(_hole_index,) = _setters(Hole, "index")
+_hole_index, _hole_pids = _setters(Hole, "index", "pids")
 
 Body = Union[DbTerm, Hole]
-
-
-# node kinds an open-term body may hold besides holes
-_BODY_KINDS = (App, Abs, Con, Var, Err, Bnd)
 
 
 @dataclass(frozen=True)
@@ -98,41 +96,16 @@ class OpenTerm:
     body: Body
 
     def __post_init__(self):
-        _check_arity(self.arity)
-        top = -1  # the largest hole index, the first of equals
-        for node, _ in walk(self.body):
-            cls = type(node)
-            if cls is Hole:
-                top = node.index if node.index > top else top
-            elif cls not in _BODY_KINDS:
-                raise ValueError(f"not an open-term body: {node!r}")
-        if top >= self.arity:
-            raise ValueError(f"hole index {top} outside arity {self.arity}")
+        _natural("arity", self.arity)
+        pids = getattr(self.body, "pids", None)  # None when the body is no term
+        if pids is None:
+            raise ValueError(f"not an open-term body: {self.body!r}")
+        if max(pids, default=-1) >= 0:  # a probe's id
+            raise ValueError(f"not an open-term body: {Probe(max(pids))!r}")
+        if ~min(pids, default=0) >= self.arity:  # the largest hole index, or -1
+            raise ValueError(f"hole index {~min(pids)} outside arity {self.arity}")
         if not level(0, self.body):
             raise ValueError("open-term body has dangling indices")
-
-
-def fill(body: Body, args: Sequence[DbTerm]) -> DbTerm:
-    """Substitute ``args[k]`` for each Hole(k); plain node substitution."""
-    done: list = []  # filled subterms, innermost last
-    # nodes still to fill, App to join the last two filled subterms, or
-    # Abs to wrap the last one
-    todo: list = [body]
-    pop = todo.pop
-    while todo:
-        node = pop()
-        if node is App:
-            right = done.pop()
-            done[-1] = App(done[-1], right)
-        elif node is Abs:
-            done[-1] = Abs(done[-1])
-        elif type(node) is App:
-            todo += (App, node.right, node.left)
-        elif type(node) is Abs:
-            todo += (Abs, node.body)
-        else:
-            done.append(args[node.index] if type(node) is Hole else node)
-    return done[0]
 
 
 def reflect(ot: OpenTerm) -> Callable[..., Expr]:
@@ -140,14 +113,7 @@ def reflect(ot: OpenTerm) -> Callable[..., Expr]:
     Hole(k); called with any other number of arguments it raises
     ``ArityMismatch``, and with a non-``Expr`` one ``TypeError``.
     """
-    arity, body = ot.arity, ot.body
-
-    def fn(*args: Expr) -> Expr:
-        if len(args) != arity:
-            raise ArityMismatch(f"reflect: arity {arity}, called with {len(args)}")
-        return Expr(fill(body, [_raw(x, "reflect") for x in args]))
-
-    return fn
+    return binder._section(ot.body, tuple(~k for k in range(ot.arity)), "reflect")
 
 
 def reify(fn: Callable[..., Expr], arity: int = 1) -> OpenTerm:
@@ -156,15 +122,18 @@ def reify(fn: Callable[..., Expr], arity: int = 1) -> OpenTerm:
 
     Inverse of ``reflect`` up to structural equality.
     """
-    _check_arity(arity)  # refused before the closure runs
-    probes, body = binder._session(fn, arity)
+    # a bad arity is refused before the closure runs
+    probes, body = binder._session(fn, _natural("arity", arity))
     if body is None:
         raise ExoticFunction("closure inspects its argument")
-    for k, p in enumerate(probes):
-        body = replace_probe(body, p, Hole(k))
     # a body that embeds an enclosing binder's argument is refused:
     # spelling it out as a first-order term would inspect it
-    return OpenTerm(arity, _probe_free(body, "reify"))
+    foreign = body.pids.difference(probes)
+    if foreign:
+        raise ExoticUse(foreign, "reify")
+    for k, p in enumerate(probes):
+        body = replace_probe(body, p, Hole(k))
+    return OpenTerm(arity, body)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +248,7 @@ def to_text(ot: OpenTerm) -> str:
 
 
 def from_text(text: str, arity: int = 1) -> OpenTerm:
-    _check_arity(arity)  # the caller's fault, not the text's
+    _natural("arity", arity)  # the caller's fault, not the text's
     body = _parse_sexpr(text, make_hole=Hole)
     try:
         return OpenTerm(arity, body)
@@ -293,7 +262,7 @@ def _culprit_offset(text: str, body: Body, arity: int) -> int:
     else the first dangling ``(BND i)``.
     """
     leaves = [(node, depth) for node, depth in walk(body) if type(node) not in (App, Abs)]
-    top = max((node.index for node, _ in leaves if type(node) is Hole), default=-1)
+    top = ~min(body.pids, default=0)  # the largest hole index, or -1
     m = next(m for m, (node, depth) in enumerate(leaves)
              if (type(node) is Hole and node.index == top if top >= arity
                  else type(node) is Bnd and node.index >= depth))

@@ -11,7 +11,8 @@ inspection refuses with ``ExoticUse`` (scope extrusion, ROADMAP item 4).
 Every whole-term operation runs on an explicit stack and so has no
 depth limit. ``walk(t)`` yields ``(node, depth)`` for each node in
 pre-order (parents first, left before right); ``size`` and the open-term
-checks read it, and every other operation is one direct loop of its own.
+reader's error offsets read it, and every other operation is one direct
+loop of its own.
 ``depth`` counts the ``Abs`` nodes strictly above a node, so ``Bnd(i)``
 at depth ``d`` dangles exactly when ``i >= d``. Whatever is neither
 ``App`` nor ``Abs`` is a leaf, so other layers can add leaves.
@@ -23,10 +24,11 @@ Every node class here carries two cached fields, which ``App`` and
   ``level(i, t)`` is ``t.lvl <= i``. ``Bnd(i)`` has ``i + 1``, ``App``
   the larger of its children's, ``Abs`` its body's minus one (never
   below 0), and every other leaf 0.
-- ``pids``, the set of probe ids in the term: ``{pid}`` for a probe,
-  the union of the children's for ``App`` (a child's own set when the
-  other's is empty), the body's for ``Abs``, and one shared empty set
-  for every other leaf.
+- ``pids``, the set of placeholder ids in the term: ``{pid}`` for a
+  probe, ``{~k}`` for the open-term ``Hole(k)`` (``fresh_probe`` returns
+  natural ids only, so a hole's is reserved), the union of the
+  children's for ``App`` (a child's own set when the other's is empty),
+  the body's for ``Abs``, and one shared empty set for every other leaf.
 
 Every node class here, and every view and named term in other layers,
 is declared with ``_node``: a frozen slots dataclass that refuses every
@@ -39,8 +41,8 @@ named terms' ``NLam`` and ``NApp``, derive from ``_Branch``: one ``==``,
 one ``hash`` and one ``repr`` for all four, each on an explicit stack
 over one table of every such class's fields (``_FIELDS``).
 
-A leaf added by another layer (the open-term ``Hole``) derives from
-``_Leaf``, so it counts as level 0 with no probes.
+A leaf added by another layer derives from ``_Leaf``: level 0 and no
+placeholder ids, unless it sets its own, as ``Hole`` does.
 
 The substitutions (``instantiate``, ``bind_probe``, ``replace_probe``)
 share one explicit-stack kernel. It enters a child only
@@ -218,9 +220,13 @@ def _node(cls: type) -> type:
     return cls
 
 
-def _not_natural(what: str, n: object) -> str:
-    # the message refusing ``n``, not an int (a bool is not) or negative
-    return f"negative {what} {n}" if type(n) is int else f"{what} {n!r} is not a natural number"
+def _natural(what: str, n: object) -> int:
+    # ``n``, provided it is a natural int (a bool is not); the one rule
+    # for every index, variable number and arity
+    if type(n) is not int or n < 0:
+        raise ValueError(f"negative {what} {n}" if type(n) is int
+                         else f"{what} {n!r} is not a natural number")
+    return n
 
 
 @_node
@@ -237,9 +243,7 @@ class Var(_Leaf):
     index: int
 
     def __init__(self, index: int):
-        if type(index) is not int or index < 0:
-            raise ValueError(_not_natural("variable number", index))
-        _var_index(self, index)
+        _var_index(self, _natural("variable number", index))
 
 
 (_var_index,) = _setters(Var, "index")
@@ -276,9 +280,7 @@ class Bnd(_Leaf):
     lvl: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, index: int):
-        if type(index) is not int or index < 0:
-            raise ValueError(_not_natural("index", index))
-        _bnd_index(self, index)
+        _bnd_index(self, _natural("index", index))
         _bnd_lvl(self, index + 1)
 
 

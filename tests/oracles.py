@@ -7,8 +7,9 @@ are kept for differential tests of faster rewrites: ``encode_reference``
 is ``encode`` as first written, through the public constructors, and
 ``decode_fold`` and ``to_text_render`` are ``decode`` and the canonical
 text as folds with one callback per node, as they were before their
-direct kernels. ``pretty_recursive`` and ``fill_recursive`` are plain
-recursive ``expr.pretty`` and ``openterm.fill``.
+direct kernels. ``pretty_recursive`` is a plain recursive
+``expr.pretty``, and ``fill_recursive`` fills the holes of an open-term
+body by plain recursion.
 """
 
 from collections import namedtuple
@@ -84,9 +85,10 @@ def subst_named(t, name, u):
 
 def closing_level_and_probes(t):
     """The largest dangling index of ``t`` plus one (0 when none) and the
-    set of its probe ids, by a plain walk over every node.
+    set of its placeholder ids, by a plain walk over every node: the id
+    of each probe, and ``~k`` for each ``Hole(k)``.
 
-    Any leaf other than ``Bnd`` and ``Probe`` is closed and probe-free.
+    Any other leaf but ``Bnd`` is closed and holds no placeholder.
     """
     top, pids = 0, set()
     stack = [(t, 0)]
@@ -100,6 +102,8 @@ def closing_level_and_probes(t):
             top = max(top, node.index - depth + 1)
         elif type(node) is Probe:
             pids.add(node.pid)
+        elif type(node) is Hole:
+            pids.add(~node.index)
     return top, frozenset(pids)
 
 
@@ -406,8 +410,8 @@ def pretty_recursive(t, depth=0):
 
 
 def fill_recursive(body, args):
-    """``openterm.fill``: ``args[k]`` for each Hole(k), every other leaf
-    kept, App and Abs rebuilt, by plain recursion.
+    """``body`` with ``args[k]`` for each Hole(k), every other leaf kept,
+    App and Abs rebuilt, by plain recursion.
     """
     if type(body) is App:
         return App(fill_recursive(body.left, args), fill_recursive(body.right, args))

@@ -9,7 +9,7 @@ biconditional without quadratic scanning.
 import random
 
 import pytest
-from oracles import subst_named
+from oracles import fill_recursive, subst_named
 
 from hobind.binder import (
     LAM,
@@ -56,7 +56,6 @@ from hobind.openterm import (
     enumerate_db_terms,
     enumerate_open_terms,
     exotic_library,
-    fill,
     gen_open_term,
     reflect,
     to_text as ot_text,
@@ -181,15 +180,15 @@ def _class_payload_ok(ot: OpenTerm, got) -> bool:
             return ot.body == Var(n)
         case AppCase(left, right):
             return all(
-                to_db(left(g)) == fill(ot.body.left, (to_db(g),))
-                and to_db(right(g)) == fill(ot.body.right, (to_db(g),))
+                to_db(left(g)) == fill_recursive(ot.body.left, (to_db(g),))
+                and to_db(right(g)) == fill_recursive(ot.body.right, (to_db(g),))
                 for g in probes
             )
         case LamCase(body2):
             inner = ot.body.body
             return all(
                 to_db(body2(a, b))
-                == instantiate(fill(inner, (to_db(a),)), 0, to_db(b))
+                == instantiate(fill_recursive(inner, (to_db(a),)), 0, to_db(b))
                 for a in probes
                 for b in probes[:2]
             )

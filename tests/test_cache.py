@@ -9,9 +9,10 @@ raise, construction and the checks that read the cache still work on a
 import pytest
 from hypothesis import given, strategies as st
 
+import hobind.openterm
 import hobind.terms
-from hobind.expr import APP, ExoticUse, Expr, NotProper, VApp, cases, from_db
-from hobind.openterm import Hole, enumerate_db_terms
+from hobind.expr import APP, VAR, ExoticUse, Expr, NotProper, VApp, cases, from_db
+from hobind.openterm import Hole, OpenTerm, enumerate_db_terms, reflect
 from hobind.terms import (
     Abs,
     App,
@@ -71,7 +72,10 @@ def test_terms_with_probes_and_holes(t):
 
 def test_empty_probe_sets_are_shared():
     p = Probe(fresh_probe())
-    assert App(C, Var(0)).pids is Abs(Err()).pids is Hole(0).pids
+    assert App(C, Var(0)).pids is Abs(Err()).pids
+    # a hole's one id is reserved: ``~k`` is negative, and no probe's is
+    for k in range(3):
+        assert Hole(k).pids == {~k}
     assert App(p, C).pids is p.pids
     assert Abs(App(C, p)).pids is p.pids
 
@@ -102,6 +106,25 @@ def test_construction_and_checks_do_not_walk(spine, monkeypatch):
     assert cases(APP(e, e)).right._t is spine
 
 
+def test_open_terms_are_checked_without_a_walk(spine, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("the whole term was walked")
+
+    body = App(spine, Hole(0))
+    monkeypatch.setattr(hobind.terms, "walk", no_walk)
+    monkeypatch.setattr(hobind.openterm, "walk", no_walk)
+    assert OpenTerm(1, body).body is body
+    refused = [(0, body, "hole index 0 outside arity 0"),
+               (1, App(body, Probe(7)), "not an open-term body: Probe(pid=7)"),
+               (1, Abs(App(Bnd(1), body)), "open-term body has dangling indices")]
+    for arity, bad, message in refused:
+        with pytest.raises(ValueError) as exc:
+            OpenTerm(arity, bad)
+        assert str(exc.value) == message
+    out = reflect(OpenTerm(1, body))(VAR(5))._t
+    assert out.left is spine and out.right == Var(5)
+
+
 def test_substitution_shares_untouched_subtrees(spine):
     absent = fresh_probe()
     assert bind_probe(spine, absent, 0) is spine
@@ -129,6 +152,14 @@ class TestGuardsStillFire:
         with pytest.raises(ExoticUse) as exc:
             from_db(Abs(App(Bnd(0), Probe(p))))
         assert exc.value.pids == {p} and exc.value.op == "from_db"
+
+    @pytest.mark.parametrize("t", [Hole(0), App(C, Hole(0)), Abs(App(Bnd(0), Hole(3)))])
+    def test_from_db_of_hole(self, t):
+        # an Expr never holds a hole: every inspection would find no
+        # display form, case or text for it
+        with pytest.raises(ExoticUse) as exc:
+            from_db(t)
+        assert exc.value.op == "from_db" and all(pid < 0 for pid in exc.value.pids)
 
     def test_instantiate_above_its_level(self):
         for j, t in [(0, Bnd(1)), (0, Abs(Bnd(2))), (1, App(C, Bnd(2)))]:

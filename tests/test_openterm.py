@@ -27,7 +27,7 @@ VALIDATION = [
     (2, App(Hole(1), Abs(App(Bnd(0), Hole(0)))), None),
     (1, Con("c"), None),
     # the arity is checked first, hole or no hole
-    (-1, Con("c"), "arity -1 is not a natural number"),
+    (-1, Con("c"), "negative arity -1"),
     (None, App(Con("c"), Abs(Bnd(0))), "arity None is not a natural number"),
     (1, Hole(1), "hole index 1 outside arity 1"),
     (0, Hole(0), "hole index 0 outside arity 0"),
@@ -106,6 +106,23 @@ class TestReflect:
         with pytest.raises(ArityMismatch):
             abstr(reflect(OpenTerm(2, Hole(1))))
 
+    def test_arity_mismatch_is_one_type_error_for_every_section(self):
+        # a reflected closure is a section over the holes' ids, as
+        # classify's are over probes: both refuse a wrong count alike
+        from hobind import binder
+
+        assert ArityMismatch is binder.ArityMismatch and issubclass(ArityMismatch, TypeError)
+        app = classify(lambda x: APP(x, VAR(1)))
+        lam = classify(lambda x: LAM(lambda y: APP(x, y)))
+        for section, args, message in (
+                (reflect(OpenTerm(2, Hole(1))), (VAR(0),), "section takes 2 arguments, got 1"),
+                (reflect(OpenTerm(0, Con("c"))), (VAR(0),), "section takes 0 arguments, got 1"),
+                (app.left, (), "section takes 1 arguments, got 0"),
+                (lam.body2, (VAR(0),), "section takes 2 arguments, got 1")):
+            with pytest.raises(ArityMismatch) as exc:
+                section(*args)
+            assert str(exc.value) == message
+
     def test_non_expr_argument(self):
         for fn, args in ((reflect(OpenTerm(1, Hole(0))), ("x",)),
                          (reflect(OpenTerm(2, Con("c"))), (VAR(0), Con("c")))):
@@ -146,7 +163,7 @@ class TestReify:
     @pytest.mark.parametrize("arity", [-1, None, True, 1.0, "1"])
     def test_bad_arity_refused_before_the_closure_runs(self, arity):
         ran = []
-        with pytest.raises(ValueError, match="is not a natural number"):
+        with pytest.raises(ValueError, match="^negative arity -1$|is not a natural number"):
             reify(lambda *xs: ran.append(xs) or CON("c"), arity)
         assert ran == []
 
@@ -232,9 +249,9 @@ class TestEnumeration:
             list(enumerate_open_terms(1, 0))
 
     def test_bad_arity(self):
-        with pytest.raises(ValueError, match="arity -2 is not a natural number"):
+        with pytest.raises(ValueError, match="negative arity -2"):
             list(enumerate_open_terms(-2, 1))
-        with pytest.raises(ValueError, match="arity -1 is not a natural number"):
+        with pytest.raises(ValueError, match="negative arity -1"):
             gen_open_term(-1, 3, seed=0)
 
     def test_db_terms_cover_improper_ones(self):
@@ -341,7 +358,7 @@ class TestText:
 
         # a bad arity is the caller's error, not the text's
         for text in ("(CON c)", "(APP (CON c) (BND 0))", "(HOLE 0"):
-            with pytest.raises(ValueError, match="arity -1 is not a natural number") as exc:
+            with pytest.raises(ValueError, match="negative arity -1") as exc:
                 from_text(text, arity=-1)
             assert not isinstance(exc.value, ParseError)
         assert from_text("(CON c)", arity=0) == OpenTerm(0, Con("c"))

@@ -1,8 +1,9 @@
 """Structural guards over ``src/hobind``: one binding session calls
 closures on probes and catches the opacity signal, one runner reports
-every law, ``encode``'s closures restore no state, and the public names
-are pinned so that any addition or removal shows up as a change to this
-file.
+every law, ``encode``'s closures restore no state, no module imports a
+name it does not use, open terms are walked only to place a parse error,
+and the public names are pinned so that any addition or removal shows up
+as a change to this file.
 """
 
 import ast
@@ -73,6 +74,34 @@ def test_encode_keeps_no_state_to_restore():
     # each binder closure of encode gets an environment of its own
     tree = ast.parse((SRC / "named_lambda.py").read_text(encoding="utf-8"))
     assert not [n for n in ast.walk(tree) if isinstance(n, ast.Try) and n.finalbody]
+
+
+def test_every_imported_name_is_used():
+    # ``from m import X as X`` re-exports X on purpose; ``__init__`` only
+    # re-exports
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [(path.stem, a.name) for a in node.names
+                           if a.asname != a.name
+                           and (a.asname or a.name).split(".")[0] not in used]
+    assert unused == []
+
+
+def test_open_terms_are_walked_only_to_place_a_parse_error():
+    # an open term's checks read its body's cached fields; only the error
+    # path of ``from_text`` looks for the offending leaf
+    walks = [(module, owner) for module, owner, node in top_level_uses(
+        lambda n: isinstance(n, ast.Call) and "walk" in names_in(n.func))
+        if module == "openterm"]
+    assert walks == [("openterm", "_culprit_offset")]
 
 
 PUBLIC = {

@@ -9,7 +9,7 @@ exactly along the path to its one target.
 import pytest
 from hypothesis import given, strategies as st
 
-from hobind.openterm import enumerate_db_terms, enumerate_open_terms, fill
+from hobind.openterm import enumerate_db_terms, enumerate_open_terms
 from hobind.terms import (
     Abs,
     App,
@@ -24,7 +24,7 @@ from hobind.terms import (
     replace_probe,
     walk,
 )
-from oracles import bind_probe_fold, instantiate_fold, replace_probe_fold
+from oracles import bind_probe_fold, fill_recursive, instantiate_fold, replace_probe_fold
 from test_cache import TERMS
 
 # proper replacements: a leaf and a tree
@@ -69,7 +69,7 @@ def test_probes_placed_in_open_terms():
     p, q = fresh_probe(), fresh_probe()
     for ot in enumerate_open_terms(1, 3):
         for arg in (Probe(p), App(Probe(p), Probe(q))):
-            t = fill(ot.body, (arg,))
+            t = fill_recursive(ot.body, (arg,))
             check_probes(t, p)
             check_instantiate(t)
 
