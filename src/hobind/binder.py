@@ -29,7 +29,6 @@ wrapper internals, or keeps hidden state is outside the purity contract
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Union
 
 from .expr import CON, ERR, VAR, Binder1, ExoticUse, Expr, _probe_free, _raw
@@ -44,6 +43,7 @@ from .terms import (
     ProbeId,
     Var,
     _natural,
+    _node,
     bind_probe,
     fresh_probe,
     instantiate,
@@ -151,40 +151,40 @@ def ordinary(fn: Binder1) -> bool:
     return body is not None and not (type(body) is Probe and body.pid == p)
 
 
-@dataclass(frozen=True)
+@_node
 class Identity:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class ConstCon:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class ConstVar:
     index: int
 
 
-@dataclass(frozen=True)
+@_node
 class AppCase:
     left: Binder1
     right: Binder1
 
 
-@dataclass(frozen=True)
+@_node
 class LamCase:
     """Nested binder; ``body2`` is the two-argument body."""
 
     body2: Binder2
 
 
-@dataclass(frozen=True)
+@_node
 class ConstErr:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Exotic:
     pass
 

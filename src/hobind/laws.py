@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .binder import (
@@ -54,11 +53,11 @@ def db_key(t: DbTerm) -> str:
     return to_text(t)
 
 
-@dataclass
 class LawReport:
-    name: str
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name = name
+        self.checked = 0
+        self.failures: list[str] = []
 
     @property
     def ok(self) -> bool:

@@ -13,10 +13,11 @@ distinct.
 
 ``parse`` reads a text with one regex scan and one loop that keeps the
 open parenthesis groups on an explicit stack, and ``pretty`` prints on
-one too, so neither has a depth limit. Named terms are frozen slots
-dataclasses; ``NLam`` and ``NApp`` share the ``==``, ``hash`` and
-``repr`` of the de Bruijn inner nodes (``terms._Branch``), which run on
-explicit stacks, as ``alpha_eq`` and ``well_scoped`` do.
+one too, so neither has a depth limit. Named terms are ``terms._node``
+classes (frozen, slotted, no ``dataclasses`` at import, ``fields`` built on
+first use); ``NLam`` and ``NApp`` share the ``==``, ``hash`` and ``repr``
+of the de Bruijn inner nodes (``terms._Branch``), which run on explicit
+stacks, as ``alpha_eq`` and ``well_scoped`` do.
 
 ``encode`` represents an abstraction as ``c_lam $$ LAM(...)`` and an
 application as ``c_app $$ l $$ r``; since every closure it hands to the
@@ -42,7 +43,6 @@ import functools
 import random
 import re
 import sys
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 from .binder import LAM
@@ -94,18 +94,23 @@ class NApp(_Branch):
 NamedTerm = Union[NVar, NFree, NLam, NApp]
 
 
-@dataclass(frozen=True)
+@_node
 class OlSig:
     """The two constants heading encoded applications and abstractions."""
 
-    c_app: str = "c_app"
-    c_lam: str = "c_lam"
+    c_app: str
+    c_lam: str
 
-    def __post_init__(self):
-        for name in (self.c_app, self.c_lam):
+    def __init__(self, c_app: str = "c_app", c_lam: str = "c_lam"):
+        for name in (c_app, c_lam):
             CON(name)  # raises ValueError unless it is a constant name
-        if self.c_app == self.c_lam:
+        if c_app == c_lam:
             raise ValueError("c_app and c_lam must be distinct")
+        _sig_app(self, c_app)
+        _sig_lam(self, c_lam)
+
+
+_sig_app, _sig_lam = _setters(OlSig, "c_app", "c_lam")
 
 
 DEFAULT_SIG = OlSig()

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Union
 
 from . import binder
@@ -42,6 +41,7 @@ from .expr import (
     to_db,
 )
 from .terms import (
+    DERIVED,
     Abs,
     App,
     Bnd,
@@ -73,7 +73,7 @@ class Hole(_Leaf):
     """Placeholder for argument ``index`` of the reflected closure, with id ``~index``."""
 
     index: int
-    pids: frozenset = field(init=False, repr=False, compare=False)
+    pids: frozenset = DERIVED
 
     def __init__(self, index: int):
         _hole_index(self, _natural("hole index", index))
@@ -85,7 +85,7 @@ _hole_index, _hole_pids = _setters(Hole, "index", "pids")
 Body = Union[DbTerm, Hole]
 
 
-@dataclass(frozen=True)
+@_node
 class OpenTerm:
     """A body over term constructors and holes, all hole indices below
     the natural number ``arity``, with no dangling indices (holes
@@ -95,17 +95,22 @@ class OpenTerm:
     arity: int
     body: Body
 
-    def __post_init__(self):
-        _natural("arity", self.arity)
-        pids = getattr(self.body, "pids", None)  # None when the body is no term
+    def __init__(self, arity: int, body: Body):
+        _natural("arity", arity)
+        pids = getattr(body, "pids", None)  # None when the body is no term
         if pids is None:
-            raise ValueError(f"not an open-term body: {self.body!r}")
+            raise ValueError(f"not an open-term body: {body!r}")
         if max(pids, default=-1) >= 0:  # a probe's id
             raise ValueError(f"not an open-term body: {Probe(max(pids))!r}")
-        if ~min(pids, default=0) >= self.arity:  # the largest hole index, or -1
-            raise ValueError(f"hole index {~min(pids)} outside arity {self.arity}")
-        if not level(0, self.body):
+        if ~min(pids, default=0) >= arity:  # the largest hole index, or -1
+            raise ValueError(f"hole index {~min(pids)} outside arity {arity}")
+        if not level(0, body):
             raise ValueError("open-term body has dangling indices")
+        _ot_arity(self, arity)
+        _ot_body(self, body)
+
+
+_ot_arity, _ot_body = _setters(OpenTerm, "arity", "body")
 
 
 def reflect(ot: OpenTerm) -> Callable[..., Expr]:

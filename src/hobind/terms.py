@@ -30,12 +30,12 @@ Every node class here carries two cached fields, which ``App`` and
   children's for ``App`` (a child's own set when the other's is empty),
   the body's for ``Abs``, and one shared empty set for every other leaf.
 
-Every node class here, and every view and named term in other layers,
-is declared with ``_node``: a frozen slots dataclass that refuses every
-assignment and deletion with ``FrozenInstanceError`` and whose
-``__init__`` stores each field through its slot descriptor's setter.
-``Bnd(i)`` and ``Var(i)`` refuse an ``i`` that is not a natural ``int``
-(a bool, a float, a negative number) with ``ValueError``.
+Every node class here, and every view, named term, verdict, ``OpenTerm``
+and ``OlSig`` elsewhere, is declared with ``_node``: a frozen slots class
+built with no ``dataclasses`` at import (``dataclasses.fields`` builds its
+metadata on first use) that raises ``FrozenInstanceError`` on every
+assignment and deletion and whose ``__init__`` stores through slot setters.
+``Bnd``, ``Var`` and ``Probe`` refuse a non-natural index with ``ValueError``.
 The inner nodes of both tree families, ``App`` and ``Abs`` here and the
 named terms' ``NLam`` and ``NApp``, derive from ``_Branch``: one ``==``,
 one ``hash`` and one ``repr`` for all four, each on an explicit stack
@@ -73,8 +73,7 @@ from __future__ import annotations
 import itertools
 import re
 import sys
-from dataclasses import FrozenInstanceError, dataclass, field, fields
-from typing import Callable, Iterator, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Union
 
 
 class PreconditionViolated(Exception):
@@ -110,8 +109,7 @@ _FIELDS: dict[type, tuple[str, ...]] = {}
 
 class _Branch:
     """Structural equality, hashing and ``repr`` for every inner tree
-    node (App, Abs, NLam, NApp), on explicit stacks; the
-    dataclass-generated ones recurse on the children. Each reads the
+    node (App, Abs, NLam, NApp), on explicit stacks. Each reads the
     node's fields from ``_FIELDS``; any other value, a leaf or NLam's
     name, compares, hashes and prints as itself.
     """
@@ -163,7 +161,7 @@ class _Branch:
         return hash(tuple(seq))
 
     def __repr__(self) -> str:
-        # the dataclass-generated repr
+        # the text a dataclass's repr gives
         out: list[str] = []
         stack: list = [self]  # nodes still to print, and text (str) to copy
         while stack:
@@ -189,34 +187,79 @@ def _setters(cls: type, *names: str) -> tuple:
 
 
 def _refuse(self, name: str, *value):
+    from dataclasses import FrozenInstanceError  # only ever needed here
+
     raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
 
 
+def _getstate(self) -> list:
+    return [getattr(self, name) for name in self.__slots__]
+
+
+def _setstate(self, state: list) -> None:
+    # what pickle and copy hand back, stored as __init__ stores it
+    for name, value in zip(self.__slots__, state):
+        type(self).__dict__[name].__set__(self, value)
+
+
+# the value of a cached field in its class's body: ``lvl: int = DERIVED``
+# is a field that __init__ does not take, and that repr, a leaf's == and
+# hash and __match_args__ leave out
+DERIVED: Any = object()
+
+
+class _Fields:
+    """A ``_node`` class's ``__dataclass_fields__``, made on first use by
+    ``dataclass`` on a twin class, then cached on the class."""
+
+    def __get__(self, obj, cls: type) -> dict:
+        import dataclasses
+
+        shown, defaults = cls.__match_args__, cls.__init__.__defaults__ or ()
+        cls.__dataclass_fields__ = dataclasses.dataclass(type(cls.__name__, (), {
+            "__annotations__": cls.__annotations__, **dict(zip(shown[::-1], defaults[::-1])),
+            **{n: dataclasses.field(init=False, repr=False, compare=issubclass(cls, _Branch))
+               for n in cls.__annotations__ if n not in shown}})).__dataclass_fields__
+        return cls.__dataclass_fields__
+
+
 def _node(cls: type) -> type:
-    """``cls`` as a frozen slots ``dataclass`` that refuses every
-    assignment and deletion. Unless ``cls`` defines its own (to derive a
-    field), an ``__init__`` is generated, as ``dataclasses`` does, that
-    takes every field and stores it through its slot's setter. A
-    ``_Branch`` keeps that class's ``==``, ``hash`` and ``repr``, over the
-    fields its ``repr`` shows.
-    """
+    """``cls`` as ``dataclass(frozen=True, slots=True)`` builds it, but
+    refusing every assignment and deletion. A field set to ``DERIVED`` is
+    a cached one, which a generated ``__init__`` does not take; a
+    ``_Branch`` keeps its own ``==``, ``hash`` and ``repr``."""
     branch = issubclass(cls, _Branch)
-    names = list(cls.__annotations__)
-    scope = {"__name__": cls.__module__}  # the generated __init__'s globals
-    # generated before dataclass runs, which derives a missing docstring from it
-    if "__init__" not in cls.__dict__:
-        stores = "".join(f" _set_{n}(self, {n})\n" for n in names)
-        exec(f"def __init__({', '.join(['self', *names])}):\n{stores} pass", scope)
-        cls.__init__ = scope["__init__"]
-        cls.__init__.__annotations__ = dict(cls.__annotations__)
-        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
-    # the dataclass's own __setattr__ and __delattr__ would raise TypeError
-    # for a name that is not a field: they refer to the class before slots
-    cls = dataclass(frozen=True, init=False, slots=True, eq=not branch, repr=not branch)(cls)
+    body = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
+    annotations = cls.__annotations__
+    shown = [n for n in annotations if body.pop(n, None) is not DERIVED]
+    row = "".join(f"{{0}}.{n}," for n in shown)  # the tuple of a node's fields
+    code = []
+    if "__init__" not in body:
+        code.append(f"def __init__({', '.join(['self', *shown])}):\n"
+                    + "".join(f" _set_{n}(self, {n})\n" for n in shown) + " pass")
+    if not branch:
+        code += [
+            "def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
+            f"  return ({row.format('self')}) == ({row.format('other')})\n return NotImplemented",
+            f"def __hash__(self):\n return hash(({row.format('self')}))",
+            "def __repr__(self):\n return f'{self.__class__.__qualname__}("
+            + ", ".join(f"{n}={{self.{n}!r}}" for n in shown) + ")'",
+        ]
+    scope, methods = {"__name__": cls.__module__}, {}  # the generated methods' globals
+    exec("\n".join(code), scope, methods)
+    for name, fn in methods.items():
+        fn.__qualname__ = f"{cls.__qualname__}.{name}"
+    body.update(methods, __slots__=tuple(annotations), __match_args__=tuple(shown),
+                __getstate__=_getstate, __setstate__=_setstate,
+                __setattr__=_refuse, __delattr__=_refuse, __dataclass_fields__=_Fields())
+    # the annotations of the __init__ dataclass would generate
+    body["__init__"].__annotations__ = {**{n: annotations[n] for n in shown}, "return": None}
+    if body["__doc__"] is None:  # as dataclass writes it
+        body["__doc__"] = f"{cls.__name__}({', '.join(f'{n}: {annotations[n]!r}' for n in shown)})"
+    cls = type(cls.__name__, cls.__bases__, body)
     if branch:
-        _FIELDS[cls] = tuple(f.name for f in reversed(fields(cls)) if f.repr)
-    scope.update(zip([f"_set_{n}" for n in names], _setters(cls, *names)))
-    cls.__setattr__ = cls.__delattr__ = _refuse
+        _FIELDS[cls] = tuple(reversed(shown))
+    scope.update(zip([f"_set_{n}" for n in shown], _setters(cls, *shown)))
     return cls
 
 
@@ -253,8 +296,8 @@ class Var(_Leaf):
 class App(_Branch):
     left: "DbTerm"
     right: "DbTerm"
-    lvl: int = field(init=False, repr=False)
-    pids: frozenset = field(init=False, repr=False)
+    lvl: int = DERIVED
+    pids: frozenset = DERIVED
 
     def __init__(self, left: "DbTerm", right: "DbTerm"):
         ll, rl, lp, rp = left.lvl, right.lvl, left.pids, right.pids
@@ -277,7 +320,7 @@ class Bnd(_Leaf):
     """Bound variable: back reference into enclosing Abs nodes."""
 
     index: int
-    lvl: int = field(init=False, repr=False, compare=False)
+    lvl: int = DERIVED
 
     def __init__(self, index: int):
         _bnd_index(self, _natural("index", index))
@@ -292,8 +335,8 @@ class Abs(_Branch):
     """Nameless binder."""
 
     body: "DbTerm"
-    lvl: int = field(init=False, repr=False)
-    pids: frozenset = field(init=False, repr=False)
+    lvl: int = DERIVED
+    pids: frozenset = DERIVED
 
     def __init__(self, body: "DbTerm"):
         lvl = body.lvl
@@ -314,10 +357,10 @@ class Probe(_Leaf):
     """
 
     pid: int
-    pids: frozenset = field(init=False, repr=False, compare=False)
+    pids: frozenset = DERIVED
 
     def __init__(self, pid: int):
-        _probe_pid(self, pid)
+        _probe_pid(self, _natural("probe id", pid))  # a negative id is a Hole's
         _probe_pids(self, frozenset((pid,)))
 
 

@@ -52,6 +52,8 @@ VALIDATION = [
     (1, lambda: App(Var(1.5), Hole(0)), "variable number 1.5 is not a natural number"),
     (1, lambda: Abs(App(Hole(0), Var(True))), "variable number True is not a natural number"),
     (1, lambda: Abs(Bnd(0.5)), "index 0.5 is not a natural number"),
+    # a probe cannot pose as Hole(0), whose id is ~0 == -1
+    (1, lambda: Probe(-1), "negative probe id -1"),
 ]
 
 

@@ -1,18 +1,26 @@
+import copy
 import dataclasses
 import inspect
+import pathlib
+import pickle
+import subprocess
+import sys
 import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
+import hobind.binder
 import hobind.expr
+import hobind.laws
 import hobind.named_lambda
 import hobind.openterm
 import hobind.terms
-from hobind.binder import LAM, lbind
+from hobind.binder import (LAM, AppCase, ConstCon, ConstErr, ConstVar, Exotic, Identity,
+                           LamCase, lbind)
 from hobind.expr import APP, CON, VAR, VApp, VCon, VErr, VLam, VVar
-from hobind.named_lambda import NApp, NFree, NLam, NVar
-from hobind.openterm import Hole
+from hobind.named_lambda import NApp, NFree, NLam, NVar, OlSig
+from hobind.openterm import Hole, OpenTerm
 from oracles import preorder
 from hobind.terms import (
     Abs,
@@ -292,14 +300,15 @@ class TestEquality:
 class TestNegativeIndices:
     """Indices are naturals, as ``VAR`` and the text reader require."""
 
-    @pytest.mark.parametrize("make", [Bnd, Var, Hole, NFree])
+    # a probe's id too: a negative id is reserved for a Hole
+    @pytest.mark.parametrize("make", [Bnd, Var, Hole, NFree, Probe])
     def test_refused_at_construction(self, make):
         for index in (-1, -3):
             with pytest.raises(ValueError, match="negative"):
                 make(index)
-        assert make(0).index == 0
+        assert getattr(make(0), make.__match_args__[0]) == 0
 
-    @pytest.mark.parametrize("make", [Bnd, Var, Hole, NFree])
+    @pytest.mark.parametrize("make", [Bnd, Var, Hole, NFree, Probe])
     def test_non_naturals_refused_at_construction(self, make):
         # a bool or a float equal to a natural is still refused
         for index in (1.5, 0.5, True, False, 1.0, "a", None):
@@ -342,6 +351,9 @@ CONSTRUCTORS = [
     (Abs, (Bnd(0),)), (Probe, (5,)), (Hole, (0,)),
     (VCon, ("c",)), (VVar, (1,)), (VApp, (CON("a"), VAR(0))), (VErr, ()), (VLam, (lambda x: x,)),
     (NVar, ("x",)), (NFree, (1,)), (NLam, ("x", NVar("x"))), (NApp, (NFree(0), NVar("y"))),
+    (Identity, ()), (ConstCon, ("c",)), (ConstVar, (1,)), (AppCase, (lambda x: x, lambda x: x)),
+    (LamCase, (lambda x, y: y,)), (ConstErr, ()), (Exotic, ()),
+    (OpenTerm, (1, App(Hole(0), Abs(Bnd(0))))), (OlSig, ("a", "l")),
 ]
 
 
@@ -365,14 +377,122 @@ class TestConstructors:
 
 
 def test_every_node_class_is_listed():
-    modules = (hobind.terms, hobind.expr, hobind.named_lambda, hobind.openterm)
+    modules = (hobind.terms, hobind.expr, hobind.named_lambda, hobind.openterm,
+               hobind.binder, hobind.laws)
     found = {v for m in modules for v in vars(m).values()
              if isinstance(v, type) and v.__setattr__ is _refuse}
     assert found == {cls for cls, _ in CONSTRUCTORS}
 
 
 def test_derived_docstrings_show_the_fields():
-    # dataclass writes a missing docstring from the __init__ it finds, so the
-    # generated one must be in place, annotations included, before it runs
+    # a missing docstring is the class's signature, as dataclass writes it
     assert VCon.__doc__ == "VCon(name: 'str')" and VErr.__doc__ == "VErr()"
     assert VApp.__doc__ == "VApp(left: 'Expr', right: 'Expr')"
+
+
+# every ``_node`` class as ``dataclass`` made it: its fields as
+# (name, init, repr) in order, ``__match_args__``, the docstring written
+# for a class with none of its own (None: it has its own), and its
+# signature's parameters
+METADATA = [
+    (Con, [('name', True, True)], ('name',),
+     None, ["name: 'str'"]),
+    (Var, [('index', True, True)], ('index',),
+     None, ["index: 'int'"]),
+    (App, [('left', True, True), ('right', True, True), ('lvl', False, False),
+           ('pids', False, False)], ('left', 'right'),
+     'App(left: "\'DbTerm\'", right: "\'DbTerm\'")', ['left: "\'DbTerm\'"', 'right: "\'DbTerm\'"']),
+    (Err, [], (),
+     None, []),
+    (Bnd, [('index', True, True), ('lvl', False, False)], ('index',),
+     None, ["index: 'int'"]),
+    (Abs, [('body', True, True), ('lvl', False, False), ('pids', False, False)], ('body',),
+     None, ['body: "\'DbTerm\'"']),
+    (Probe, [('pid', True, True), ('pids', False, False)], ('pid',),
+     None, ["pid: 'int'"]),
+    (Hole, [('index', True, True), ('pids', False, False)], ('index',),
+     None, ["index: 'int'"]),
+    (VCon, [('name', True, True)], ('name',),
+     "VCon(name: 'str')", ["name: 'str'"]),
+    (VVar, [('index', True, True)], ('index',),
+     "VVar(index: 'int')", ["index: 'int'"]),
+    (VApp, [('left', True, True), ('right', True, True)], ('left', 'right'),
+     "VApp(left: 'Expr', right: 'Expr')", ["left: 'Expr'", "right: 'Expr'"]),
+    (VErr, [], (),
+     'VErr()', []),
+    (VLam, [('binder', True, True)], ('binder',),
+     None, ["binder: 'Binder1'"]),
+    (NVar, [('name', True, True)], ('name',),
+     None, ["name: 'str'"]),
+    (NFree, [('index', True, True)], ('index',),
+     None, ["index: 'int'"]),
+    (NLam, [('name', True, True), ('body', True, True)], ('name', 'body'),
+     'NLam(name: \'str\', body: "\'NamedTerm\'")', ["name: 'str'", 'body: "\'NamedTerm\'"']),
+    (NApp, [('left', True, True), ('right', True, True)], ('left', 'right'),
+     'NApp(left: "\'NamedTerm\'", right: "\'NamedTerm\'")',
+     ['left: "\'NamedTerm\'"', 'right: "\'NamedTerm\'"']),
+    (Identity, [], (),
+     'Identity()', []),
+    (ConstCon, [('name', True, True)], ('name',),
+     "ConstCon(name: 'str')", ["name: 'str'"]),
+    (ConstVar, [('index', True, True)], ('index',),
+     "ConstVar(index: 'int')", ["index: 'int'"]),
+    (AppCase, [('left', True, True), ('right', True, True)], ('left', 'right'),
+     "AppCase(left: 'Binder1', right: 'Binder1')", ["left: 'Binder1'", "right: 'Binder1'"]),
+    (LamCase, [('body2', True, True)], ('body2',),
+     None, ["body2: 'Binder2'"]),
+    (ConstErr, [], (),
+     'ConstErr()', []),
+    (Exotic, [], (),
+     'Exotic()', []),
+    (OpenTerm, [('arity', True, True), ('body', True, True)], ('arity', 'body'),
+     None, ["arity: 'int'", "body: 'Body'"]),
+    (OlSig, [('c_app', True, True), ('c_lam', True, True)], ('c_app', 'c_lam'),
+     None, ["c_app: 'str' = 'c_app'", "c_lam: 'str' = 'c_lam'"]),
+]
+
+
+@pytest.mark.parametrize("cls,fields,match_args,doc,params", METADATA,
+                         ids=[row[0].__name__ for row in METADATA])
+def test_dataclass_metadata(cls, fields, match_args, doc, params):
+    assert [(f.name, f.init, f.repr) for f in dataclasses.fields(cls)] == fields
+    assert dataclasses.is_dataclass(cls) and cls.__match_args__ == match_args
+    assert (cls.__doc__ if cls.__doc__.startswith(f"{cls.__name__}(") else None) == doc
+    assert [str(p) for p in inspect.signature(cls).parameters.values()] == params
+
+
+def test_metadata_covers_every_node_class():
+    assert [row[0] for row in METADATA] == [cls for cls, _ in CONSTRUCTORS]
+
+
+def test_signatures_return_none_as_a_dataclass_one_does():
+    for cls in (Identity, ConstCon, ConstVar, AppCase, LamCase, ConstErr, Exotic, OpenTerm, OlSig):
+        assert inspect.signature(cls).return_annotation is None
+
+
+# closures do not pickle; App once more, with a probe, so a cached pids
+# that is not empty comes back too
+PICKLABLE = [(cls, args) for cls, args in CONSTRUCTORS if cls not in (VLam, AppCase, LamCase)]
+PICKLABLE.append((App, (Probe(3), Abs(Bnd(1)))))
+
+
+@pytest.mark.parametrize("cls,args", PICKLABLE, ids=[cls.__name__ for cls, _ in PICKLABLE])
+def test_pickle_and_copy_keep_every_field(cls, args):
+    node = cls(*args)
+    values = [getattr(node, f.name) for f in dataclasses.fields(cls)]  # lvl and pids included
+    copies = [pickle.loads(pickle.dumps(node, protocol))
+              for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in [*copies, copy.copy(node), copy.deepcopy(node)]:
+        assert type(twin) is cls and twin == node
+        assert [getattr(twin, f.name) for f in dataclasses.fields(cls)] == values
+
+
+def test_importing_the_library_imports_neither_dataclasses_nor_inspect():
+    # a fresh interpreter, as every command-line call starts one
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hobind, hobind.cli; "
+            "hobind.binder.ground_samples(); "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    src = pathlib.Path(hobind.terms.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout == "[]\n"
