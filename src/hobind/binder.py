@@ -38,10 +38,10 @@ from .terms import (
     Con,
     DbTerm,
     Err,
-    PreconditionViolated,
     Probe,
     ProbeId,
     Var,
+    _index,
     _natural,
     _node,
     bind_probe,
@@ -112,10 +112,7 @@ def lbind(i: int, fn: Binder1) -> DbTerm:
     natural), incremented under each binder node of the body. An exotic
     ``fn`` raises ``ExoticUse`` naming ``lbind`` and its own probe.
     """
-    try:  # refused before the closure runs
-        _natural("index", i)
-    except ValueError as exc:
-        raise PreconditionViolated(f"lbind: {exc}") from None
+    _index("lbind", i)  # refused before the closure runs
     (p,), body = _session(fn)
     if body is None:
         raise ExoticUse(frozenset((p,)), "lbind")

@@ -25,7 +25,6 @@ from .terms import (
     Err,
     ProbeId,
     Var,
-    _ATOM,
     _node,
     instantiate,
     level,
@@ -127,10 +126,8 @@ def _not_expr(op: str, *args: object) -> TypeError:
 
 def CON(name: str) -> Expr:
     """Constant. Its name is one atom of the textual form: no whitespace,
-    no parentheses, not empty.
+    no parentheses, not empty (``Con`` refuses any other).
     """
-    if not isinstance(name, str) or not _ATOM.fullmatch(name):
-        raise ValueError(f"bad constant name {name!r}")
     return Expr(Con(name))
 
 

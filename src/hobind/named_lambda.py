@@ -46,7 +46,7 @@ import sys
 from typing import Iterator, Union
 
 from .binder import LAM
-from .expr import CON, Binder1, Expr, _raw, _transparent, to_db
+from .expr import Binder1, Expr, _raw, _transparent, to_db
 from .terms import (Abs, App, Bnd, Con, DbTerm, ParseError, Var, _Branch, _node,
                     _natural, _offset, _setters, instantiate)
 
@@ -103,7 +103,7 @@ class OlSig:
 
     def __init__(self, c_app: str = "c_app", c_lam: str = "c_lam"):
         for name in (c_app, c_lam):
-            CON(name)  # raises ValueError unless it is a constant name
+            Con(name)  # raises ValueError unless it is a constant name
         if c_app == c_lam:
             raise ValueError("c_app and c_lam must be distinct")
         _sig_app(self, c_app)
@@ -258,7 +258,7 @@ def pretty(t: NamedTerm) -> str:
 # Encoding and decoding
 
 def encode(t: NamedTerm, sig: OlSig = DEFAULT_SIG) -> Expr:
-    c_app, c_lam = Con(sig.c_app), Con(sig.c_lam)  # names OlSig has checked
+    c_app, c_lam = Con(sig.c_app), Con(sig.c_lam)
 
     # raw trees throughout, in ``env``: bound name -> the innermost
     # binder's argument; Expr wraps only what a LAM closure returns, so

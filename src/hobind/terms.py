@@ -30,16 +30,17 @@ Every node class here carries two cached fields, which ``App`` and
   children's for ``App`` (a child's own set when the other's is empty),
   the body's for ``Abs``, and one shared empty set for every other leaf.
 
-Every node class here, and every view, named term, verdict, ``OpenTerm``
-and ``OlSig`` elsewhere, is declared with ``_node``: a frozen slots class
-built with no ``dataclasses`` at import (``dataclasses.fields`` builds its
-metadata on first use) that raises ``FrozenInstanceError`` on every
-assignment and deletion and whose ``__init__`` stores through slot setters.
-``Bnd``, ``Var`` and ``Probe`` refuse a non-natural index with ``ValueError``.
-The inner nodes of both tree families, ``App`` and ``Abs`` here and the
-named terms' ``NLam`` and ``NApp``, derive from ``_Branch``: one ``==``,
-one ``hash`` and one ``repr`` for all four, each on an explicit stack
-over one table of every such class's fields (``_FIELDS``).
+Every node class here, and every view, named term, verdict, ``OpenTerm`` and
+``OlSig`` elsewhere, is a frozen slots class declared with ``_node`` (no
+``dataclasses`` at import) that raises ``FrozenInstanceError`` on every
+assignment and deletion. The inner nodes of both tree families, ``App`` and
+``Abs`` here and the named terms' ``NLam`` and ``NApp``, derive from
+``_Branch``: one ``==``, one ``hash`` and one ``repr`` for all four, each on
+an explicit stack over one table of every such class's fields (``_FIELDS``).
+Each input rule has one check, where the input enters: ``Bnd``, ``Var`` and
+``Probe`` refuse a non-natural index with ``ValueError``, ``instantiate``,
+``bind_probe`` and ``binder.lbind`` with ``PreconditionViolated``, and
+``Con`` a name that is not one atom of the text, as ``expr.CON`` does.
 
 A leaf added by another layer derives from ``_Leaf``: level 0 and no
 placeholder ids, unless it sets its own, as ``Hole`` does.
@@ -51,9 +52,8 @@ for ``Probe(p)``, ``child.lvl > j + k`` for ``Bnd(j + k)`` at depth
 ``k``), so it walks just the paths to the targets, every leaf it reaches
 is one, and every other subtree is shared with the input.
 
-``to_text`` writes the canonical text in one pre-order loop of its own,
-with no callback per node; ``openterm.to_text`` is the same writer with
-``Hole`` as its one extra leaf.
+``to_text`` writes the canonical text in one loop with no callback per node;
+``openterm.to_text`` is the same writer with ``Hole`` as its one extra leaf.
 
 ``from_text`` splits the canonical text with ``str.split`` (parentheses
 padded with spaces) and parses the tokens in one loop. Tokens carry no
@@ -272,11 +272,28 @@ def _natural(what: str, n: object) -> int:
     return n
 
 
+def _index(op: str, i: object) -> int:
+    # ``i``, provided it is natural: the index rule of every entry point
+    # that takes one, refused as a precondition of ``op``
+    try:
+        return _natural("index", i)
+    except ValueError as exc:
+        raise PreconditionViolated(f"{op}: {exc}") from None
+
+
 @_node
 class Con(_Leaf):
-    """Object-language constant."""
+    """Object-language constant, named by one atom of the textual form."""
 
     name: str
+
+    def __init__(self, name: str):
+        if not isinstance(name, str) or not _ATOM.fullmatch(name):
+            raise ValueError(f"bad constant name {name!r}")
+        _con_name(self, name)
+
+
+(_con_name,) = _setters(Con, "name")
 
 
 @_node
@@ -427,8 +444,7 @@ def instantiate(t: DbTerm, j: int, u: DbTerm) -> DbTerm:
         raise PreconditionViolated(f"instantiate: term is not at level {j + 1}")
     if not proper(u):
         raise PreconditionViolated("instantiate: replacement has dangling indices")
-    if j < 0:
-        raise PreconditionViolated(f"instantiate: negative index {j}")
+    _index("instantiate", j)
     return _substitute(t, None, j, u)
 
 
@@ -446,8 +462,7 @@ def fresh_probe() -> ProbeId:
 
 def bind_probe(t: DbTerm, p: ProbeId, i: int) -> DbTerm:
     """Turn Probe(p) at Abs-depth k into Bnd(i+k), ``i`` natural; leave everything else."""
-    if i < 0:
-        raise PreconditionViolated(f"bind_probe: negative index {i}")
+    _index("bind_probe", i)
     return _substitute(t, p, i, None)
 
 

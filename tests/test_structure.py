@@ -2,8 +2,8 @@
 closures on probes and catches the opacity signal, one runner reports
 every law, ``encode``'s closures restore no state, no module imports a
 name it does not use, open terms are walked only to place a parse error,
-and the public names are pinned so that any addition or removal shows up
-as a change to this file.
+each input rule is checked in one place, and the public names are pinned
+so that any addition or removal shows up as a change to this file.
 """
 
 import ast
@@ -102,6 +102,21 @@ def test_open_terms_are_walked_only_to_place_a_parse_error():
         lambda n: isinstance(n, ast.Call) and "walk" in names_in(n.func))
         if module == "openterm"]
     assert walks == [("openterm", "_culprit_offset")]
+
+
+def test_each_input_rule_is_checked_in_one_place():
+    # every index, variable number and arity goes through ``terms._natural``
+    # (an operation's index through ``terms._index``), and every constant
+    # name through ``Con``; no copy of either check is left elsewhere
+    below_zero = top_level_uses(
+        lambda n: isinstance(n, ast.Compare) and any(
+            isinstance(op, ast.Lt) and isinstance(right, ast.Constant) and right.value == 0
+            for op, right in zip(n.ops, n.comparators)))
+    assert [(module, owner) for module, owner, _ in below_zero] == [("terms", "_natural")]
+    atom_checks = top_level_uses(
+        lambda n: isinstance(n, ast.Attribute) and n.attr == "fullmatch"
+        and isinstance(n.value, ast.Name) and n.value.id == "_ATOM")
+    assert [(module, owner) for module, owner, _ in atom_checks] == [("terms", "Con")]
 
 
 PUBLIC = {

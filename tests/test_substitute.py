@@ -89,6 +89,19 @@ def test_instantiate_needs_a_natural_index():
         instantiate(Con("c"), -2, Var(0))
 
 
+def test_instantiate_refuses_a_non_natural_index():
+    # after the two level checks, which these pass; None and "0" fail
+    # the first one, at ``j + 1``
+    t = App(Bnd(0), Bnd(1))
+    for j in (1.5, 1.0, True):
+        with pytest.raises(PreconditionViolated) as exc:
+            instantiate(t, j, Con("u"))
+        assert str(exc.value) == f"instantiate: index {j!r} is not a natural number"
+    for j in (None, "0"):
+        with pytest.raises(TypeError, match="unsupported operand|concatenate"):
+            instantiate(t, j, Con("u"))
+
+
 LEAVES = 2**12
 
 

@@ -325,6 +325,16 @@ class TestNegativeIndices:
                 lbind(i, fn)
             assert str(exc.value) == f"lbind: index {i!r} is not a natural number"
 
+    def test_bind_probe_refuses_a_non_natural_index(self):
+        # before the kernel runs, with or without an occurrence of the
+        # probe: the kernel's Bnd would refuse only an occurring one
+        p = fresh_probe()
+        for t in (App(Probe(p), C1), C1):
+            for i in (1.5, True, 1.0, "0", None):
+                with pytest.raises(PreconditionViolated) as exc:
+                    bind_probe(t, p, i)
+                assert str(exc.value) == f"bind_probe: index {i!r} is not a natural number"
+
     def test_binding_at_a_negative_index(self):
         # refused as ``instantiate`` refuses it, with or without an
         # occurrence of the probe

@@ -256,15 +256,23 @@ def test_decimal_digits_of_any_script():
 
 
 def con_accepts(name):
+    # CON and the raw Con refuse the same names, and every constant Con
+    # builds reads back from its text
     try:
-        return to_db(CON(name)) == Con(name)
+        t = Con(name)
     except ValueError:
+        with pytest.raises(ValueError, match="bad constant name"):
+            CON(name)
         return False
+    assert to_db(CON(name)) == t
+    assert from_text(to_text(t)) == t
+    return True
 
 
 def text_accepts(name):
+    # names, not nodes, are compared: "(CON a )" reads as the constant a
     try:
-        return from_text(to_text(Con(name))) == Con(name)
+        return from_text(f"(CON {name})").name == name
     except ParseError:
         return False
 
@@ -282,8 +290,9 @@ def test_con_and_reader_agree_on_random_names(name):
 
 @pytest.mark.parametrize("name", [3, None, b"a", ["a"]])
 def test_con_rejects_non_strings(name):
-    with pytest.raises(ValueError):
-        CON(name)
+    for make in (CON, Con):
+        with pytest.raises(ValueError, match="bad constant name"):
+            make(name)
 
 
 # ---------------------------------------------------------------------------
