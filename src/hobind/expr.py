@@ -1,15 +1,12 @@
 """Proper terms behind an opaque wrapper, with structure-only constructors.
 
 ``Expr`` values always satisfy ``level(0, ...)`` on their underlying
-representation, so dangling indices cannot be expressed at this layer.
-Building terms (CON/VAR/APP/ERR) never looks inside arguments;
-*inspecting* them (equality, case split, export to the raw tree) raises
-``ExoticUse`` when the term carries an opaque binder argument. That
-asymmetry is what makes non-syntactic closures detectable.
-
-The views ``cases`` returns are declared with ``terms._node``, as the
-term nodes are. A non-``Expr`` argument raises ``TypeError`` naming the
-operation, once reading its fields has failed.
+representation, so dangling indices cannot be expressed at this layer;
+only this module reads it. Building a term never looks inside arguments;
+*inspecting* one (``==``, ``hash``, ``str``, ``repr``, ``cases``, export)
+raises ``ExoticUse`` if it carries an opaque binder argument, which makes
+non-syntactic closures detectable. A non-``Expr`` argument raises
+``TypeError`` naming the operation, once reading its fields has failed.
 """
 
 from __future__ import annotations
@@ -56,16 +53,17 @@ class ExoticUse(BaseException):
 class Expr:
     """A term with no dangling indices.
 
-    Not constructed directly: use CON/VAR/APP/ERR, ``from_db``, or the
-    binding operator. Immutable; safe to share between threads.
+    Not constructed directly: use CON/VAR/APP/ERR, ``from_db`` or ``LAM``.
+    Immutable; safe to share between threads. Like ``str``, ``repr``
+    raises ``ExoticUse`` (op ``repr``) if it carries a probe. Unchecked:
+    ``x is g``, ``x._t``, ``pickle``, ``copy``, ``object.__getstate__``.
     """
 
-    __slots__ = ("_t", "_pids")
+    __slots__ = ("_t",)
 
     def __init__(self, t: DbTerm):
         assert t.lvl == 0, "internal: dangling index in proper-term wrapper"
         self._t = t
-        self._pids = t.pids
 
     def __eq__(self, other: object):
         if not isinstance(other, Expr):
@@ -76,9 +74,7 @@ class Expr:
         return hash(_transparent(self, "hash"))
 
     def __repr__(self) -> str:
-        if self._pids:
-            return "<Expr (opaque binder argument)>"
-        return f"Expr[{to_text(self._t)}]"
+        return f"Expr[{to_text(_transparent(self, 'repr'))}]"
 
     def __str__(self) -> str:
         return pretty(self)
@@ -92,12 +88,12 @@ def _transparent(e: Expr, op: str, caller: str | None = None) -> DbTerm:
     non-Expr, ``TypeError`` naming ``caller``, by default ``op``.
     """
     try:
-        pids = e._pids
+        t = e._t
     except AttributeError:
         raise _not_expr(caller or op, e) from None
-    if pids:
-        raise ExoticUse(pids, op)
-    return e._t
+    if t.pids:
+        raise ExoticUse(t.pids, op)
+    return t
 
 
 def _raw(x: object, op: str) -> DbTerm:
@@ -138,9 +134,10 @@ def VAR(n: int) -> Expr:
 
 def APP(s: Expr, t: Expr) -> Expr:
     """Application/pairing node."""
-    if not isinstance(s, Expr) or not isinstance(t, Expr):
-        raise TypeError("APP expects two Expr arguments")
-    return Expr(App(s._t, t._t))
+    try:
+        return Expr(App(s._t, t._t))
+    except AttributeError:
+        raise _not_expr("APP", s, t) from None
 
 
 def ERR() -> Expr:
@@ -165,7 +162,7 @@ def expr_equal(e: Expr, f: Expr) -> bool:
     # inspection of a pair: report probes from both sides at once, so an
     # enclosing binder can recognize its own argument in the exception
     try:
-        ep, fp = e._pids, f._pids
+        ep, fp = e._t.pids, f._t.pids
     except AttributeError:
         raise _not_expr("expr_equal", e, f) from None
     if ep or fp:

@@ -283,14 +283,14 @@ def encode(t: NamedTerm, sig: OlSig = DEFAULT_SIG) -> Expr:
             elif cls is NFree:
                 done.append(Var(node.index))
             elif cls is NLam:
-                done.append(App(c_lam, LAM(binder(node.name, node.body, env))._t))
+                done.append(App(c_lam, _raw(LAM(binder(node.name, node.body, env)), "encode")))
             else:
                 raise TypeError(f"not a named term: {node!r}")
         return done[0]
 
     def binder(name: str, body: NamedTerm, env: dict[str, DbTerm]) -> Binder1:
         # the body in an environment of its own: the closure keeps no state
-        return lambda x: Expr(go(body, {**env, name: x._t}))
+        return lambda x: Expr(go(body, {**env, name: _raw(x, "encode")}))
 
     return Expr(go(t, {}))
 

@@ -225,6 +225,7 @@ _EXOTIC: dict[int, tuple[tuple[str, Callable], ...]] = {
         ("export-to-db", lambda x: from_db(to_db(x))),
         ("self-equality", lambda x: CON("c1") if expr_equal(x, x) else CON("c2")),
         ("size-inspection", lambda x: VAR(expr_size(x))),
+        ("branch-on-repr", lambda x: CON("c1") if "VAR" in repr(x) else x),
     ),
     2: (
         ("pair-equality", lambda x, y: x if expr_equal(x, y) else y),

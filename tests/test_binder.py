@@ -34,7 +34,7 @@ from hobind.expr import (
     from_db,
     to_db,
 )
-from hobind.openterm import reify
+from hobind.openterm import ExoticFunction, reify
 from hobind.terms import Abs, App, Bnd, Con, Err, PreconditionViolated, Probe, Var, proper
 
 
@@ -75,7 +75,7 @@ class TestLbind:
         seen = []
 
         def fn(x):
-            seen.append(x._pids)
+            seen.append(x._t.pids)
             return exotic_branch_on_con(x)
 
         with pytest.raises(ExoticUse) as exc:
@@ -129,6 +129,22 @@ class TestAbstr:
 
         assert abstr(sneaky) is False
         assert expr_equal(LAM(sneaky), ERR())
+
+    @pytest.mark.parametrize("double_eval", [False, True])
+    def test_branch_on_repr_is_exotic(self, monkeypatch, double_eval):
+        # ``repr`` is an inspection like ``str``: a closure that tells its
+        # argument apart by its repr does not denote an open term
+        monkeypatch.setattr(binder_mod, "double_eval_check", double_eval)
+
+        def fn(x):
+            return CON("a") if "opaque" in repr(x) else x
+
+        assert fn(VAR(0)) == VAR(0)
+        assert abstr(fn) is False
+        assert classify(fn) == Exotic()
+        assert LAM(fn) == ERR()
+        with pytest.raises(ExoticFunction):
+            reify(fn)
 
     def test_nested_binder_bodies(self):
         assert abstr(lambda x: LAM(lambda y: APP(x, y))) is True
@@ -379,7 +395,7 @@ class TestClassify:
             seen.append(classify(lambda y: y))
             with pytest.raises(ExoticUse) as exc:
                 classify(lambda y: x)
-            assert exc.value.pids == x._pids and exc.value.op == "classify"
+            assert exc.value.pids == x._t.pids and exc.value.op == "classify"
             seen.append(classify(lambda y: APP(x, y)))
             return x
 
@@ -554,7 +570,7 @@ class TestEvaluationContract:
             return APP(y, LAM(lambda z: APP(x, z)))
 
         assert abstr(swap, 2) is True
-        assert len(calls) == 2 and calls[0][0]._pids != calls[1][0]._pids
+        assert len(calls) == 2 and calls[0][0]._t.pids != calls[1][0]._t.pids
         assert abstr(lambda x, y: x if expr_equal(x, y) else y, 2) is False
         counter = itertools.count()
         with pytest.raises(PurityError):

@@ -335,7 +335,7 @@ class TestApplyBinder:
             def inner(y):
                 with pytest.raises(ExoticUse) as exc:
                     apply_binder(x, y)
-                seen.append((exc.value.pids == x._pids, exc.value.op))
+                seen.append((exc.value.pids == x._t.pids, exc.value.op))
                 return apply_binder(x, y)
 
             return LAM(inner)

@@ -2,8 +2,9 @@
 closures on probes and catches the opacity signal, one runner reports
 every law, ``encode``'s closures restore no state, no module imports a
 name it does not use, open terms are walked only to place a parse error,
-each input rule is checked in one place, and the public names are pinned
-so that any addition or removal shows up as a change to this file.
+each input rule is checked in one place, only ``expr`` reads a term's
+tree, and the public names are pinned so that any addition or removal
+shows up as a change to this file.
 """
 
 import ast
@@ -117,6 +118,19 @@ def test_each_input_rule_is_checked_in_one_place():
         lambda n: isinstance(n, ast.Attribute) and n.attr == "fullmatch"
         and isinstance(n.value, ast.Name) and n.value.id == "_ATOM")
     assert [(module, owner) for module, owner, _ in atom_checks] == [("terms", "Con")]
+
+
+def test_only_expr_reads_a_term_tree():
+    # an Expr is its tree: no module keeps a copy of its probe set, only
+    # ``expr`` reads the tree, and one check tells an Expr from anything else
+    assert not top_level_uses(lambda n: isinstance(n, ast.Attribute) and n.attr == "_pids")
+    tree_reads = top_level_uses(lambda n: isinstance(n, ast.Attribute) and n.attr == "_t")
+    assert {module for module, _, _ in tree_reads} == {"expr"}
+    expr_checks = top_level_uses(
+        lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        and n.func.id == "isinstance" and "Expr" in names_in(n.args[1]))
+    assert [(module, owner) for module, owner, _ in expr_checks] == [
+        ("expr", "Expr"), ("expr", "_not_expr")]
 
 
 PUBLIC = {
