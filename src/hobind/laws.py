@@ -1,12 +1,12 @@
 """Randomized and exhaustive sweeps of the binding laws.
 
 Each law checks one law family over an exhaustive small-term sweep plus
-seeded random instances. Its body yields one verdict per check: the
-failure rendered in the canonical textual forms, or None. One runner,
-``_law``, turns a body into the law's check: it builds the report, counts
-the checks and collects the failures. The checks compare terms through
-``db_key`` so a deliberately broken key function (used by the mutation
-smoke tests) surfaces as law violations.
+seeded random instances. ``LAWS`` maps its name to its case generator,
+which yields one verdict per check: the failure rendered in the canonical
+textual forms, or None. One runner, ``run_law``, builds a law's report:
+it counts the checks and collects the failures. The checks compare terms
+through ``db_key`` so a deliberately broken key function (used by the
+mutation smoke tests) surfaces as law violations.
 
 The runner hands each law one stream (``_stream``), from which the law
 draws all its random cases in order, so the first ``k`` do not depend on
@@ -73,28 +73,6 @@ def _stream(law: str, seed: int) -> random.Random:
     return random.Random(f"{law}:{seed}")
 
 
-def _law(name: str):
-    """The law runner: turns ``cases(depth, rng, count)``, a generator
-    yielding one verdict per check (a failure message, or None when the
-    check held), into the ``(depth, seed, count) -> LawReport`` check of
-    law ``name``, whose random cases come from ``_stream(name, seed)``.
-    """
-    def runner(cases):
-        def check(depth: int, seed: int, count: int) -> LawReport:
-            report = LawReport(name)
-            for failure in cases(depth, _stream(name, seed), count):
-                report.checked += 1
-                if failure is not None:
-                    report.failures.append(failure)
-            return report
-
-        check.__name__ = check.__qualname__ = cases.__name__
-        check.__doc__ = cases.__doc__
-        return check
-
-    return runner
-
-
 def _open_terms(arity: int, depth: int, count: int = 0,
                 rng: random.Random | None = None) -> Iterator[OpenTerm]:
     """Every open term up to the exhaustive depth cap, then ``count`` drawn from ``rng``."""
@@ -103,8 +81,7 @@ def _open_terms(arity: int, depth: int, count: int = 0,
         yield _draw_open_term(rng, arity, depth)
 
 
-@_law("lam-injectivity")
-def check_lam_injectivity(depth: int, rng: random.Random, count: int) -> Iterator[str | None]:
+def lam_injectivity(depth: int, rng: random.Random, count: int) -> Iterator[str | None]:
     """Distinct open terms have distinct binder images, and equal ones
     equal images, over exhaustive pairs plus random pairs.
     """
@@ -124,8 +101,7 @@ _EXPECTED_SHAPE = {Hole: Identity, Con: ConstCon, Var: ConstVar, Err: ConstErr,
                    App: AppCase, Abs: LamCase}
 
 
-@_law("characterization")
-def check_characterization(depth: int, rng: random.Random, count: int) -> Iterator[str | None]:
+def characterization(depth: int, rng: random.Random, count: int) -> Iterator[str | None]:
     """Classification picks exactly the disjunct the body head dictates,
     and the exotic variant appears exactly for non-syntactic closures.
     """
@@ -141,8 +117,7 @@ def check_characterization(depth: int, rng: random.Random, count: int) -> Iterat
         yield None if exotic else f"exotic closure not flagged: {name}"
 
 
-@_law("abstr-2-componentwise")
-def check_abstr2_componentwise(depth: int, rng: random.Random, count: int) -> Iterator[str | None]:
+def abstr2_componentwise(depth: int, rng: random.Random, count: int) -> Iterator[str | None]:
     """The pair-binder check accepts every syntactic two-argument closure,
     and each exotic one in the library is rejected and has a rejected
     one-argument slice with the other argument fixed to a ground term.
@@ -159,8 +134,7 @@ def check_abstr2_componentwise(depth: int, rng: random.Random, count: int) -> It
         yield None if failing else f"exotic pair closure has no failing slice: {name}"
 
 
-@_law("round-trips")
-def check_round_trips(depth: int, rng: random.Random, count: int) -> Iterator[str | None]:
+def round_trips(depth: int, rng: random.Random, count: int) -> Iterator[str | None]:
     """Reification, the proper-layer morphisms, and the object-language
     codec all invert as stated.
     """
@@ -183,7 +157,22 @@ def check_round_trips(depth: int, rng: random.Random, count: int) -> Iterator[st
         yield None if alpha_eq(decode(encode(t)), t) else f"codec round trip broke: {pretty(t)}"
 
 
+# each law's case generator, in the order the sweep prints them
+LAWS = {"lam-injectivity": lam_injectivity, "characterization": characterization,
+        "abstr-2-componentwise": abstr2_componentwise, "round-trips": round_trips}
+
+
+def run_law(name: str, depth: int, seed: int, count: int) -> LawReport:
+    """Law ``name``'s report: one check per verdict of its generator,
+    whose random cases come from ``_stream(name, seed)``.
+    """
+    report = LawReport(name)
+    for failure in LAWS[name](depth, _stream(name, seed), count):
+        report.checked += 1
+        if failure is not None:
+            report.failures.append(failure)
+    return report
+
+
 def run_all(depth: int, seed: int, count: int) -> list[LawReport]:
-    checks = (check_lam_injectivity, check_characterization,
-              check_abstr2_componentwise, check_round_trips)
-    return [check(depth, seed, count) for check in checks]
+    return [run_law(name, depth, seed, count) for name in LAWS]

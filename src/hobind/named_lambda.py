@@ -6,10 +6,10 @@ Surface syntax::
     appterm := atom+                 (application, left-associative)
     atom    := ident | '#' nat | '(' term ')'
 
-Identifiers are ``[a-z][a-z0-9_]*``; ``fn`` is reserved. Bound variables
-are names; free variables are written ``#n`` and map to numbered free
-variables of the term layer, keeping the two kinds of variable visibly
-distinct.
+Identifiers are ``[a-z][a-z0-9_]*``; ``fn`` is reserved, and ``NLam``
+refuses a binder name that is not an identifier. Bound variables are
+names; free variables are written ``#n`` and map to numbered free
+variables of the term layer, keeping the two kinds visibly distinct.
 
 ``parse`` reads a text with one regex scan and one loop that keeps the
 open parenthesis groups on an explicit stack, and ``pretty`` prints on
@@ -79,10 +79,23 @@ class NFree:
 (_nfree_index,) = _setters(NFree, "index")
 
 
+# a binder name, and every identifier of the surface syntax but ``fn``
+_NAME = re.compile(r"[a-z][a-z0-9_]*")
+
+
 @_node
 class NLam(_Branch):
     name: str
     body: "NamedTerm"
+
+    def __init__(self, name: str, body: "NamedTerm"):
+        if not isinstance(name, str) or not _NAME.fullmatch(name) or name == "fn":
+            raise ValueError(f"bad binder name {name!r}")
+        _nlam_name(self, name)
+        _nlam_body(self, body)
+
+
+_nlam_name, _nlam_body = _setters(NLam, "name", "body")
 
 
 @_node
@@ -116,7 +129,7 @@ _sig_app, _sig_lam = _setters(OlSig, "c_app", "c_lam")
 DEFAULT_SIG = OlSig()
 
 # every token but a stray character; the reader's pattern adds those
-_LEXEME = re.compile(r"[().]|#\d+|[a-z][a-z0-9_]*")
+_LEXEME = re.compile(r"[().]|#\d+|" + _NAME.pattern)
 _TOKEN = re.compile(_LEXEME.pattern + r"|\S")
 
 

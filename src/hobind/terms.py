@@ -192,14 +192,9 @@ def _refuse(self, name: str, *value):
     raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
 
 
-def _getstate(self) -> list:
-    return [getattr(self, name) for name in self.__slots__]
-
-
-def _setstate(self, state: list) -> None:
-    # what pickle and copy hand back, stored as __init__ stores it
-    for name, value in zip(self.__slots__, state):
-        type(self).__dict__[name].__set__(self, value)
+def _reduce(self) -> tuple:
+    # pickle and copy rebuild a node through its constructor, and so its checks
+    return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 # the value of a cached field in its class's body: ``lvl: int = DERIVED``
@@ -250,8 +245,8 @@ def _node(cls: type) -> type:
     for name, fn in methods.items():
         fn.__qualname__ = f"{cls.__qualname__}.{name}"
     body.update(methods, __slots__=tuple(annotations), __match_args__=tuple(shown),
-                __getstate__=_getstate, __setstate__=_setstate,
-                __setattr__=_refuse, __delattr__=_refuse, __dataclass_fields__=_Fields())
+                __reduce__=_reduce, __setattr__=_refuse, __delattr__=_refuse,
+                __dataclass_fields__=_Fields())
     # the annotations of the __init__ dataclass would generate
     body["__init__"].__annotations__ = {**{n: annotations[n] for n in shown}, "return": None}
     if body["__doc__"] is None:  # as dataclass writes it

@@ -448,6 +448,16 @@ class TestAbstrLamCheck:
         with pytest.raises(PremiseViolated):
             abstr_lam_check(w)
 
+    def test_premise_violation_at_a_ground_argument(self):
+        # the body consults x, so the probe slice is indeterminate and the
+        # ground samples decide: at x = VAR 0 the slice inspects y
+        def w(x, y):
+            return y if expr_equal(x, VAR(0)) and expr_equal(y, VAR(0)) else APP(x, y)
+
+        with pytest.raises(PremiseViolated,
+                           match="^y-slice at a ground argument is not syntactic$"):
+            abstr_lam_check(w)
+
     @pytest.mark.parametrize("fn2,verdict,evaluations", [
         # one session at a probe argument decides a syntactic body
         (lambda x, y: APP(x, y), True, 1),

@@ -318,6 +318,21 @@ class TestUsage:
             main(["encode", "-e", "#0", "--sig", "same,same"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("sig", ["a", "a,b,c"])
+    def test_sig_needs_two_names(self, capsys, sig):
+        with pytest.raises(SystemExit) as err:
+            main(["encode", "--sig", sig, "-e", "fn x. x"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: argument --sig: expected C_LAM,C_APP")
+
+    def test_unreadable_file(self, capsys, tmp_path):
+        path = tmp_path / "missing"
+        with pytest.raises(SystemExit) as err:
+            main(["decode", str(path)])
+        assert err.value.code == 2
+        assert f"error: cannot read {path}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, name", [
         (["encode", "--sig", "a b,c", "-e", "fn x. x"], "a b"),
         (["encode", "--sig", "(,c", "-e", "fn x. x"], "("),

@@ -13,15 +13,13 @@ import pytest
 
 import hobind
 from hobind import laws
+from hobind.binder import Identity
 from hobind.named_lambda import pretty
 from hobind.openterm import to_text
 
-CHECKS = {
-    "lam-injectivity": (laws.check_lam_injectivity, 2),  # draws per case
-    "characterization": (laws.check_characterization, 1),
-    "abstr-2-componentwise": (laws.check_abstr2_componentwise, 1),
-    "round-trips": (laws.check_round_trips, 2),
-}
+# the random draws per case of each law, in ``laws.LAWS``'s order
+DRAWS = {"lam-injectivity": 2, "characterization": 1, "abstr-2-componentwise": 1,
+         "round-trips": 2}
 
 
 def drawn(law, depth, seed, count):
@@ -38,18 +36,38 @@ def drawn(law, depth, seed, count):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(laws, "_draw_open_term", recording(laws._draw_open_term, to_text))
         m.setattr(laws, "_draw_named_term", recording(laws._draw_named_term, pretty))
-        assert CHECKS[law][0](depth, seed, count).ok
+        assert laws.run_law(law, depth, seed, count).ok
     return out
 
 
-@pytest.mark.parametrize("law", sorted(CHECKS))
+@pytest.mark.parametrize("law", sorted(DRAWS))
 @pytest.mark.parametrize("depth,seed", [(2, 0), (5, 0), (4, 17)])
 def test_first_cases_do_not_depend_on_count(law, depth, seed):
     k = 15
     first, longer = drawn(law, depth, seed, k), drawn(law, depth, seed, 2 * k)
-    assert len(first) == CHECKS[law][1] * k
+    assert len(first) == DRAWS[law] * k
     assert longer[:len(first)] == first
     assert first == drawn(law, depth, seed, k)
+
+
+def test_run_all_reports_the_table_in_order():
+    assert list(DRAWS) == list(laws.LAWS)
+    assert [r.name for r in laws.run_all(2, 0, 1)] == list(laws.LAWS)
+
+
+# a broken primitive that ``laws`` calls, and the first failure the law
+# it breaks then reports
+@pytest.mark.parametrize("law,name,broken,failure", [
+    ("characterization", "classify", lambda fn: Identity(),
+     "classified (CON c1) as Identity"),
+    ("abstr-2-componentwise", "abstr", lambda fn, arity=1: True,
+     "exotic pair closure accepted: pair-equality"),
+    ("round-trips", "proper", lambda t: False, "dangling term accepted: (CON c1)"),
+])
+def test_failure_messages(monkeypatch, law, name, broken, failure):
+    monkeypatch.setattr(laws, name, broken)
+    report = laws.run_law(law, 1, 0, 0)
+    assert not report.ok and report.failures[0] == failure
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -87,14 +105,14 @@ FIRST_CASES = {
 }
 
 
-@pytest.mark.parametrize("law", sorted(CHECKS))
+@pytest.mark.parametrize("law", sorted(DRAWS))
 def test_first_cases_are_pinned(law):
     assert drawn(law, 5, 0, 2) == FIRST_CASES[law]
 
 
 def all_cases(depth, seed, count):
     """Every law's random cases, in ``run_all``'s order."""
-    return [text for law in CHECKS for text in drawn(law, depth, seed, count)]
+    return [text for law in DRAWS for text in drawn(law, depth, seed, count)]
 
 
 def test_same_cases_in_every_process():

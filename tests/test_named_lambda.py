@@ -177,6 +177,20 @@ class TestEncode:
                 build()
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("name", ["fn", "x y", "X", "", 5])
+    def test_binder_name_must_read_back(self, name):
+        # pretty would print ``fn x y. #0`` for NLam("x y", NFree(0)), which
+        # parse reads as two binders
+        with pytest.raises(ValueError) as exc:
+            NLam(name, NFree(0))
+        assert str(exc.value) == f"bad binder name {name!r}"
+
+    def test_not_a_named_term(self):
+        with pytest.raises(TypeError, match="^not a named term: 5$"):
+            well_scoped(NLam("x", 5))
+        with pytest.raises(TypeError, match="^not a named term: 'junk'$"):
+            encode(NApp(NFree(0), "junk"))
+
 
 def differential_terms():
     yield from enumerate_named_terms(5)

@@ -249,6 +249,8 @@ class TestEnumeration:
     def test_bad_depth(self):
         with pytest.raises(ValueError):
             list(enumerate_open_terms(1, 0))
+        with pytest.raises(ValueError, match="^max_depth must be >= 1$"):
+            gen_open_term(1, 0, 0)
 
     def test_bad_arity(self):
         with pytest.raises(ValueError, match="negative arity -2"):

@@ -68,7 +68,7 @@ def test_only_the_law_runner_reports_and_seeds():
             lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
             and n.func.id == name
         )
-        assert [(module, owner) for module, owner, _ in calls] == [("laws", "_law")]
+        assert [(module, owner) for module, owner, _ in calls] == [("laws", "run_law")]
 
 
 def test_encode_keeps_no_state_to_restore():
@@ -107,8 +107,9 @@ def test_open_terms_are_walked_only_to_place_a_parse_error():
 
 def test_each_input_rule_is_checked_in_one_place():
     # every index, variable number and arity goes through ``terms._natural``
-    # (an operation's index through ``terms._index``), and every constant
-    # name through ``Con``; no copy of either check is left elsewhere
+    # (an operation's index through ``terms._index``), every constant name
+    # through ``Con`` and every binder name through ``NLam``; no copy of
+    # any of these checks is left elsewhere
     below_zero = top_level_uses(
         lambda n: isinstance(n, ast.Compare) and any(
             isinstance(op, ast.Lt) and isinstance(right, ast.Constant) and right.value == 0
@@ -118,6 +119,10 @@ def test_each_input_rule_is_checked_in_one_place():
         lambda n: isinstance(n, ast.Attribute) and n.attr == "fullmatch"
         and isinstance(n.value, ast.Name) and n.value.id == "_ATOM")
     assert [(module, owner) for module, owner, _ in atom_checks] == [("terms", "Con")]
+    name_checks = top_level_uses(
+        lambda n: isinstance(n, ast.Attribute) and n.attr == "fullmatch"
+        and isinstance(n.value, ast.Name) and n.value.id == "_NAME")
+    assert [(module, owner) for module, owner, _ in name_checks] == [("named_lambda", "NLam")]
 
 
 def test_only_expr_reads_a_term_tree():

@@ -497,6 +497,35 @@ def test_pickle_and_copy_keep_every_field(cls, args):
         assert [getattr(twin, f.name) for f in dataclasses.fields(cls)] == values
 
 
+class Forged:
+    """Pickles as the reduce tuple it is given."""
+
+    def __init__(self, reduced):
+        self.reduced = reduced
+
+    def __reduce__(self):
+        return self.reduced
+
+
+# a node made by ``object.__new__`` and given slot state no constructor
+# accepts: a closed level over a dangling index, a negative probe id, a
+# constant name that is two atoms, and a slot dictionary
+FORGED = [
+    (App, [Bnd(0), Con("c"), 0, frozenset()]),
+    (Probe, [-1, frozenset({-1})]),
+    (Con, ["a b"]),
+    (Con, (None, {"name": "a b"})),
+]
+
+
+@pytest.mark.parametrize("cls,state", FORGED, ids=["App", "Probe", "Con", "Con-slots"])
+def test_pickle_streams_cannot_skip_the_constructor(cls, state):
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        stream = pickle.dumps(Forged((object.__new__, (cls,), state)), protocol)
+        with pytest.raises((pickle.UnpicklingError, dataclasses.FrozenInstanceError)):
+            pickle.loads(stream)
+
+
 def test_importing_the_library_imports_neither_dataclasses_nor_inspect():
     # a fresh interpreter, as every command-line call starts one
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import hobind, hobind.cli; "
