@@ -72,25 +72,23 @@ class ArityMismatch(TypeError):
 double_eval_check = False
 
 
-def _fresh(arity: int) -> tuple[ProbeId, ...]:
-    # arity 1, nearly every session, is spelled out: a generator here cost
-    # as much as the rest of a session's set-up, and 5 % of the sweep
-    # workload's requests per second (six paired end-to-end runs)
-    return (fresh_probe(),) if arity == 1 else tuple(fresh_probe() for _ in range(arity))
-
-
 def _session(fn, arity: int = 1) -> tuple[tuple[ProbeId, ...], DbTerm | None]:
-    """The one call of a closure on probes: ``fn``'s fresh probes and
-    body, None exactly when ``fn`` inspected one of the probes. Inspecting
-    an enclosing binder's probe keeps propagating.
+    """The one call of a closure on probes, spelled out for arity 1:
+    ``fn``'s fresh probes and body, None exactly when ``fn`` inspected one
+    of them. Inspecting an enclosing binder's probe keeps propagating.
     """
-    probes = again = _fresh(arity)
+    # arity 1, nearly every session, takes its probe and makes its call
+    # without a generator or an argument list, which cost as much as the
+    # rest of a session's set-up (ROADMAP, standing rules); the second
+    # run of ``double_eval_check`` takes the generic path at every arity
+    probes = again = (fresh_probe(),) if arity == 1 else tuple(fresh_probe() for _ in range(arity))
     try:
         # ``fn`` is called from here directly: every frame between two
         # nested binders lowers the nesting depth the host stack allows
-        body = _raw(fn(*[Expr(Probe(p)) for p in probes]), "binding operation")
+        body = _raw(fn(Expr(Probe(probes[0]))) if arity == 1
+                    else fn(*[Expr(Probe(p)) for p in probes]), "binding operation")
         if double_eval_check:
-            again = _fresh(arity)
+            again = tuple(fresh_probe() for _ in probes)
             norm, renorm = body, _raw(fn(*[Expr(Probe(q)) for q in again]), "binding operation")
             for p, q in zip(probes, again):
                 marker = Probe(fresh_probe())  # not forgeable by the closure
@@ -203,6 +201,8 @@ def _section(part: DbTerm, ids: tuple[ProbeId, ...],
     def section(*args: Expr) -> Expr:
         if len(args) != len(ids):
             raise ArityMismatch(f"section takes {len(ids)} arguments, got {len(args)}")
+        if len(args) == 1:  # nearly every section, spelled out: no zip loop
+            return Expr(replace_probe(part, ids[0], _raw(args[0], op)))
         t = part
         for p, x in zip(ids, args):
             t = replace_probe(t, p, _raw(x, op))

@@ -373,9 +373,9 @@ def apply_binder(e: Expr, arg: Expr, sig: OlSig = DEFAULT_SIG) -> Expr:
 # ---------------------------------------------------------------------------
 # Term generators for the adequacy sweeps
 
-# the generators' alphabet: binder names, and free variables #0.._MAX_FREE
+# the generators' alphabet: binder names, and the numbers of free variables
 _NAMES = ("x", "y", "z")
-_MAX_FREE = 2
+_FREE = range(3)
 
 
 def enumerate_named_terms(max_size: int) -> Iterator[NamedTerm]:
@@ -386,7 +386,7 @@ def enumerate_named_terms(max_size: int) -> Iterator[NamedTerm]:
         out: list[NamedTerm] = []
         if s == 1:
             out.extend(NVar(n) for n in sorted(bound))
-            out.extend(NFree(i) for i in range(_MAX_FREE + 1))
+            out.extend(NFree(i) for i in _FREE)
         else:
             for name in _NAMES:
                 out.extend(NLam(name, b) for b in of_size(s - 1, bound | {name}))
@@ -409,17 +409,19 @@ def gen_named_term(max_size: int, seed: int) -> NamedTerm:
 
 def _draw_named_term(rng: random.Random, max_size: int) -> NamedTerm:
     """The next term of ``gen_named_term``'s kind drawn from ``rng``."""
-    coin, choice, randrange = rng.random, rng.choice, rng.randrange
+    # ``choice(range(n))`` draws what ``randrange(n)`` draws, from the
+    # same bits (both take ``_randbelow(n)``), at less cost per call
+    coin, choice = rng.random, rng.choice
 
     def gen(budget: int, bound: tuple[str, ...]) -> NamedTerm:
         if budget <= 1 or coin() < 0.3:
             if bound and coin() < 0.5:
                 return NVar(choice(bound))
-            return NFree(randrange(_MAX_FREE + 1))
+            return NFree(choice(_FREE))
         if coin() < 0.45:
             name = choice(_NAMES)
             return NLam(name, gen(budget - 1, bound + (name,)))
-        split = randrange(1, budget - 1) if budget > 2 else 1
+        split = choice(range(1, budget - 1)) if budget > 2 else 1
         return NApp(gen(split, bound), gen(budget - 1 - split, bound))
 
     return gen(max_size, ())

@@ -334,6 +334,61 @@ class TestSessionArity:
         four = binder_mod._session(lambda w, x, y, z: APP(w, z) if is_con_headed(z) else x, 4)
         assert len(four[0]) == 4 and four[1] is None
 
+    # arity 1 runs a spelled-out path in ``_session`` and ``_section``;
+    # each test below puts it beside the generic path of arity 2, whose
+    # second argument the closure ignores
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_own_probe_against_an_enclosing_one(self, arity):
+        # inspecting the session's own first argument is its verdict;
+        # inspecting an enclosing binder's keeps propagating, naming it
+        seen = []
+
+        def outer(x):
+            seen.append(abstr(lambda y, *rest: VAR(expr_size(y)), arity))
+            with pytest.raises(ExoticUse) as exc:
+                abstr(lambda y, *rest: APP(y, VAR(expr_size(x))), arity)
+            seen.append(exc.value.pids == x._t.pids)
+            return x
+
+        assert expr_equal(LAM(outer), LAM(lambda x: x))
+        assert seen == [False, True]
+        # not caught inside: the enclosing binder's verdict is exotic
+        assert not abstr(lambda x: LAM(lambda y: x if is_con_headed(x) else y))
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_purity_error_under_double_eval(self, monkeypatch, arity):
+        monkeypatch.setattr(binder_mod, "double_eval_check", True)
+        calls = []
+
+        def pure(x, *rest):
+            calls.append(x._t.pids)
+            return APP(x, LAM(lambda z: APP(z, x)))
+
+        assert abstr(pure, arity) is True
+        assert len(calls) == 2 and calls[0] != calls[1]  # fresh probes each run
+        counter = itertools.count()
+        with pytest.raises(PurityError, match="different bodies"):
+            abstr(lambda x, *rest: APP(x, VAR(next(counter))), arity)
+        runs = itertools.count()
+        with pytest.raises(PurityError, match="only on re-evaluation"):
+            abstr(lambda x, *rest: exotic_branch_on_con(x) if next(runs) else x, arity)
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_sections_refuse_alike(self, arity):
+        # a section over one id and one over two refuse a wrong count and
+        # a non-Expr with the same texts
+        section = binder_mod._section(App(Probe(0), Probe(1)), (0, 1)[:arity])
+        for args in ((), (VAR(0),) * (arity + 1)):
+            with pytest.raises(binder_mod.ArityMismatch) as exc:
+                section(*args)
+            assert str(exc.value) == f"section takes {arity} arguments, got {len(args)}"
+        with pytest.raises(TypeError) as exc:
+            section(*(VAR(0),) * (arity - 1), "x")
+        assert str(exc.value) == "classify section expects an Expr, got str"
+        got = section(*(VAR(k) for k in range(arity)))._t
+        assert got == App(Var(0), Probe(1) if arity == 1 else Var(1))
+
 
 class TestClassify:
     def test_identity(self):

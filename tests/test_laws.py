@@ -5,6 +5,7 @@ These tests record what a law draws by wrapping the draw helpers
 ``hobind.laws`` calls.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -14,8 +15,8 @@ import pytest
 import hobind
 from hobind import laws
 from hobind.binder import Identity
-from hobind.named_lambda import pretty
-from hobind.openterm import to_text
+from hobind.named_lambda import gen_named_term, pretty
+from hobind.openterm import gen_open_term, to_text
 
 # the random draws per case of each law, in ``laws.LAWS``'s order
 DRAWS = {"lam-injectivity": 2, "characterization": 1, "abstr-2-componentwise": 1,
@@ -128,3 +129,31 @@ def test_same_cases_in_every_process():
         for h in (1, 2)
     }
     assert outs == {"\n".join(all_cases(5, 3, 4)) + "\n"}
+
+
+def digest(texts):
+    """SHA-256 of ``texts``, one a line."""
+    return hashlib.sha256("".join(f"{t}\n" for t in texts).encode()).hexdigest()
+
+
+# The first 300 random cases of every law, as ``all_cases`` lists them,
+# at two (depth, seed) pairs, and 1 000 seeds of each public generator:
+# ``gen_open_term(2, 5, seed)`` and ``gen_named_term(12, seed)``, seeds 0
+# to 999. The same on Python 3.10 to 3.13; a change to the draws that
+# keeps the first cases but moves a later one changes a digest.
+CASE_DIGESTS = {
+    (2, 0): "6afb5cc6be3db4d821583e9f699244359fff8ca5a45920f69c5bfb2337b11a13",
+    (5, 3): "2ba8b369bd6dbd95026a4db972774f7345a2c259f8e99a87021a56cc9ff38a1e",
+}
+OPEN_TERM_DIGEST = "41bd854939d950f64dbb238ecc2b41f2db2b01fec37bf3376d03a9ddd37dc18e"
+NAMED_TERM_DIGEST = "3076f748ab1f59030548ab7cab1c89850169061bbbd16baf47ade18bcead4c8f"
+
+
+@pytest.mark.parametrize("depth,seed", sorted(CASE_DIGESTS))
+def test_case_digests_are_pinned(depth, seed):
+    assert digest(all_cases(depth, seed, 300)) == CASE_DIGESTS[depth, seed]
+
+
+def test_generator_digests_are_pinned():
+    assert digest(to_text(gen_open_term(2, 5, s)) for s in range(1000)) == OPEN_TERM_DIGEST
+    assert digest(pretty(gen_named_term(12, s)) for s in range(1000)) == NAMED_TERM_DIGEST

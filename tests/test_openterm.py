@@ -54,6 +54,13 @@ VALIDATION = [
     (1, lambda: Abs(Bnd(0.5)), "index 0.5 is not a natural number"),
     # a probe cannot pose as Hole(0), whose id is ~0 == -1
     (1, lambda: Probe(-1), "negative probe id -1"),
+    # one pass over the ids: a probe is named before a hole outside the
+    # arity and before a dangling index, whichever id the set yields first
+    (1, App(Hole(5), Probe(0)), "not an open-term body: Probe(pid=0)"),
+    (2, Abs(App(Bnd(1), App(Hole(3), Probe(7)))), "not an open-term body: Probe(pid=7)"),
+    (1, Abs(App(Bnd(1), Probe(2))), "not an open-term body: Probe(pid=2)"),
+    (1, None, "not an open-term body: None"),
+    (1, Abs(Abs(Bnd(2))), "open-term body has dangling indices"),
 ]
 
 
@@ -131,6 +138,20 @@ class TestReflect:
             with pytest.raises(TypeError) as exc:
                 fn(*args)
             assert str(exc.value) == f"reflect expects an Expr, got {type(args[-1]).__name__}"
+
+    def test_one_argument_reflect_refuses_as_any_other(self):
+        # arity 1 takes the section's spelled-out path; its refusals read
+        # as those of every other arity
+        fn = reflect(OpenTerm(1, App(Hole(0), Con("c"))))
+        for args in ((), (VAR(0), VAR(1))):
+            with pytest.raises(ArityMismatch) as exc:
+                fn(*args)
+            assert str(exc.value) == f"section takes 1 arguments, got {len(args)}"
+        for bad in (Con("c"), None):
+            with pytest.raises(TypeError) as exc:
+                fn(bad)
+            assert str(exc.value) == f"reflect expects an Expr, got {type(bad).__name__}"
+        assert expr_equal(fn(VAR(2)), APP(VAR(2), CON("c")))
 
     def test_reflected_closures_are_syntactic(self):
         for ot in enumerate_open_terms(1, 3):
