@@ -120,8 +120,8 @@ def reflect(ot: OpenTerm) -> Callable[..., Expr]:
     Hole(k); called with any other number of arguments it raises
     ``ArityMismatch``, and with a non-``Expr`` one ``TypeError``.
     """
-    # the ids ~0, ..., ~(arity - 1) in one call: a generator of them cost
-    # 0.6 µs a reflect
+    # the ids ~0, ..., ~(arity - 1) in one call; a generator costs 0.6 µs
+    # more a reflect
     return binder._section(ot.body, tuple(range(-1, ~ot.arity, -1)), "reflect")
 
 
@@ -140,7 +140,8 @@ def reify(fn: Callable[..., Expr], arity: int = 1) -> OpenTerm:
     foreign = body.pids.difference(probes)
     if foreign:
         raise ExoticUse(foreign, "reify")
-    for p, hole in zip(probes, _leaves(arity, 0)):  # the shared Hole(k) leaves first
+    # the shared leaves, which start Hole(0), ..., Hole(arity - 1)
+    for p, hole in zip(probes, _leaves(arity, 0)):
         body = replace_probe(body, p, hole)
     return OpenTerm(arity, body)
 
