@@ -96,9 +96,9 @@ class OpenTerm:
 
     def __init__(self, arity: int, body: Body):
         _natural("arity", arity)
-        pids = getattr(body, "pids", None)  # None when the body is no term
-        if pids is None:
+        if not isinstance(body, (_Leaf, App, Abs)):
             raise ValueError(f"not an open-term body: {body!r}")
+        pids = body.pids
         # one pass over the ids: each must be Hole(k)'s ~k with k below
         # ``arity``; max and min run only to word the error, which names
         # a probe before the largest hole index

@@ -31,12 +31,17 @@ Every node class here carries two cached fields, which ``App`` and
   the body's for ``Abs``, and one shared empty set for every other leaf.
 
 Every node class here, and every view, named term, verdict, ``OpenTerm`` and
-``OlSig`` elsewhere, is a frozen slots class declared with ``_node`` (no
-``dataclasses`` at import) that raises ``FrozenInstanceError`` on every
-assignment and deletion. The inner nodes of both tree families, ``App`` and
-``Abs`` here and the named terms' ``NLam`` and ``NApp``, derive from
-``_Branch``: one ``==``, one ``hash`` and one ``repr`` for all four, each on
-an explicit stack over one table of every such class's fields (``_FIELDS``).
+``OlSig`` elsewhere, is a frozen slots class declared with ``_node``, which
+raises ``FrozenInstanceError`` on every assignment and deletion and builds
+the class with no ``dataclasses`` and no source compiled. The ``__init__``,
+``==``, ``hash`` and ``repr`` that a class does not define are copies of
+functions written here once for each field count (0, 1 and 2), their code
+renamed to read and take the class's own fields. Pickle rebuilds a node
+through the constructors, a tree in one flat pass; copy returns the node.
+The inner nodes of both tree families, ``App`` and ``Abs`` here and the
+named terms' ``NLam`` and ``NApp``, derive from ``_Branch``: one ``==``, one
+``hash`` and one ``repr`` for all four, each on an explicit stack over one
+table of every such class's fields (``_FIELDS``).
 Each input rule has one check, where the input enters: ``Bnd``, ``Var`` and
 ``Probe`` refuse a non-natural index with ``ValueError``, ``instantiate``,
 ``bind_probe`` and ``binder.lbind`` with ``PreconditionViolated``, and
@@ -192,9 +197,48 @@ def _refuse(self, name: str, *value):
     raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
 
 
+_DONE = object()  # on _reduce's stack: the node below it is due
+
+
 def _reduce(self) -> tuple:
-    # pickle and copy rebuild a node through its constructor, and so its checks
-    return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+    # pickle rebuilds a node through the constructors, and so their checks.
+    # A tree of _Branch nodes goes as one flat list of rows, children first,
+    # so neither side recurses: (value,) is a value other than a _Branch
+    # node, (cls, i, ...) the cls built of rows i, ..., and a value met
+    # again is its first row, so shared subtrees stay shared
+    if type(self) not in _FIELDS:
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+    rows: list = []
+    row: dict = {}  # the id of a value -> the number of its row
+    stack = [self]  # values still to write, and _DONE
+    while stack:
+        value = stack.pop()
+        if value is _DONE:
+            value = stack.pop()
+            fields = [row[id(getattr(value, name))] for name in reversed(_FIELDS[type(value)])]
+        elif id(value) in row:
+            continue
+        elif type(value) in _FIELDS:  # its fields first, the first on top
+            stack += (value, _DONE, *[getattr(value, name) for name in _FIELDS[type(value)]])
+            continue
+        else:
+            fields = []
+        row[id(value)] = len(rows)
+        rows.append((type(value), *fields) if fields else (value,))
+    return _rebuild, (rows,)
+
+
+def _rebuild(rows: list):
+    made: list = []
+    for value, *fields in rows:
+        # a row with fields is a _Branch node, and only its constructor runs
+        made.append(value(*[made[k] for k in fields]) if fields and _FIELDS[value] else value)
+    return made[-1]
+
+
+def _itself(self, memo=None):
+    # a node is immutable, so its copy, deep or not, is the node itself
+    return self
 
 
 # the value of a cached field in its class's body: ``lvl: int = DERIVED``
@@ -218,43 +262,97 @@ class _Fields:
         return cls.__dataclass_fields__
 
 
+# The methods of a class of 0, 1 or 2 fields, written once for each count
+# over the stand-in fields ``_0`` and ``_1``; the closure holds the class's
+# slot setters and the ``name=`` texts of its repr. A copy renamed by
+# ``_node`` reads its fields as directly as a method written for its class
+# does, so it costs no more per call than one; a loop over the fields
+# would, and ``expr_equal`` of two constants, which a normalizer calls at
+# every step, is one leaf ``==``.
+
+def _methods0():
+    def __init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}()"
+    return __init__, __eq__, __hash__, __repr__
+
+
+def _methods1(set0, shown0):
+    def __init__(self, _0):
+        set0(self, _0)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self._0,) == (other._0,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self._0,))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({shown0}{self._0!r})"
+    return __init__, __eq__, __hash__, __repr__
+
+
+def _methods2(set0, set1, shown0, shown1):
+    def __init__(self, _0, _1):
+        set0(self, _0)
+        set1(self, _1)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self._0, self._1) == (other._0, other._1)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self._0, self._1))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({shown0}{self._0!r}{shown1}{self._1!r})"
+    return __init__, __eq__, __hash__, __repr__
+
+
 def _node(cls: type) -> type:
     """``cls`` as ``dataclass(frozen=True, slots=True)`` builds it, but
-    refusing every assignment and deletion. A field set to ``DERIVED`` is
-    a cached one, which a generated ``__init__`` does not take; a
-    ``_Branch`` keeps its own ``==``, ``hash`` and ``repr``."""
-    branch = issubclass(cls, _Branch)
+    refusing every assignment and deletion, and compiling no source: each
+    of ``__init__``, ``==``, ``hash`` and ``repr`` that the class does not
+    define, itself or through a base, is a fresh copy of the one that
+    ``_methods0``, ``_methods1`` or ``_methods2`` makes for its field
+    count, renamed to its fields. A field set to ``DERIVED`` is a cached
+    one, which that ``__init__`` does not take."""
     body = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
     annotations = cls.__annotations__
     shown = [n for n in annotations if body.pop(n, None) is not DERIVED]
-    row = "".join(f"{{0}}.{n}," for n in shown)  # the tuple of a node's fields
-    code = []
-    if "__init__" not in body:
-        code.append(f"def __init__({', '.join(['self', *shown])}):\n"
-                    + "".join(f" _set_{n}(self, {n})\n" for n in shown) + " pass")
-    if not branch:
-        code += [
-            "def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
-            f"  return ({row.format('self')}) == ({row.format('other')})\n return NotImplemented",
-            f"def __hash__(self):\n return hash(({row.format('self')}))",
-            "def __repr__(self):\n return f'{self.__class__.__qualname__}("
-            + ", ".join(f"{n}={{self.{n}!r}}" for n in shown) + ")'",
-        ]
-    scope, methods = {"__name__": cls.__module__}, {}  # the generated methods' globals
-    exec("\n".join(code), scope, methods)
-    for name, fn in methods.items():
-        fn.__qualname__ = f"{cls.__qualname__}.{name}"
-    body.update(methods, __slots__=tuple(annotations), __match_args__=tuple(shown),
-                __reduce__=_reduce, __setattr__=_refuse, __delattr__=_refuse,
-                __dataclass_fields__=_Fields())
-    # the annotations of the __init__ dataclass would generate
-    body["__init__"].__annotations__ = {**{n: annotations[n] for n in shown}, "return": None}
+    body.update(__slots__=tuple(annotations), __match_args__=tuple(shown),
+                __reduce__=_reduce, __copy__=_itself, __deepcopy__=_itself,
+                __setattr__=_refuse, __delattr__=_refuse, __dataclass_fields__=_Fields())
     if body["__doc__"] is None:  # as dataclass writes it
         body["__doc__"] = f"{cls.__name__}({', '.join(f'{n}: {annotations[n]!r}' for n in shown)})"
     cls = type(cls.__name__, cls.__bases__, body)
-    if branch:
+    rename = dict(zip(("_0", "_1"), shown))
+    for fn in (_methods0, _methods1, _methods2)[len(shown)](
+            *_setters(cls, *shown), *(f"{', ' if k else ''}{n}=" for k, n in enumerate(shown))):
+        if getattr(cls, fn.__name__) is getattr(object, fn.__name__):  # not defined
+            code = fn.__code__  # its attribute names, and its parameters', renamed
+            fn.__code__ = code.replace(
+                co_names=tuple(rename.get(n, n) for n in code.co_names),
+                co_varnames=tuple(rename.get(n, n) for n in code.co_varnames))
+            fn.__qualname__, fn.__module__ = f"{cls.__qualname__}.{fn.__name__}", cls.__module__
+            setattr(cls, fn.__name__, fn)
+    # the annotations of the __init__ dataclass would generate
+    cls.__init__.__annotations__ = {**{n: annotations[n] for n in shown}, "return": None}
+    if issubclass(cls, _Branch):
         _FIELDS[cls] = tuple(reversed(shown))
-    scope.update(zip([f"_set_{n}" for n in shown], _setters(cls, *shown)))
     return cls
 
 

@@ -10,13 +10,16 @@ applications of that depth it encodes. The named-term parser does not
 recurse, and reads nested parentheses and binders of that depth; named
 terms of that depth compare, hash and pass ``alpha_eq`` and
 ``well_scoped`` too. ``repr`` prints terms of any depth, with the text
-the dataclass-generated ``repr`` gives a shallow one. Every test at that
+the dataclass-generated ``repr`` gives a shallow one; ``pickle`` and
+``copy`` take terms of any depth. Every test at that
 depth is ``stack_safe``: a regression to host recursion fails it in
 seconds, not minutes.
 """
 
+import copy
 import dataclasses
 import os
+import pickle
 from functools import cached_property, wraps
 
 import pytest
@@ -281,6 +284,27 @@ def test_repr_of_nested_binders():
         "OpenTerm(arity=1, body=" + "Abs(body=" * DEPTH + "Hole(index=0)" + ")" * (DEPTH + 1))
     named = parse("fn x. " * DEPTH + "x")
     assert repr(named) == "NLam(name='x', body=" * DEPTH + "NVar(name='x')" + ")" * DEPTH
+
+
+@stack_safe
+def test_pickle_and_copy(shape):
+    for node in (shape.term, shape.ot):
+        twin = pickle.loads(pickle.dumps(node, pickle.HIGHEST_PROTOCOL))
+        assert twin == node and twin is not node
+        assert copy.copy(node) is node and copy.deepcopy(node) is node
+
+
+@stack_safe
+def test_pickle_and_copy_of_nested_binders():
+    t, named = Bnd(0), NVar("x")
+    for _ in range(DEPTH):
+        t, named = Abs(t), NLam("x", named)
+    for node in (named, t):
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            twin = pickle.loads(pickle.dumps(node, protocol))
+            assert type(twin) is type(node) and twin == node and twin is not node
+        assert copy.copy(node) is node and copy.deepcopy([node])[0] is node
+    assert (twin.lvl, twin.pids) == (0, frozenset())  # the chain's cached fields, rebuilt
 
 
 def generated_repr(t):

@@ -1,7 +1,7 @@
 import pytest
 
 from hobind.binder import Exotic, LAM, abstr, classify
-from hobind.expr import APP, CON, ERR, VAR, expr_equal
+from hobind.expr import APP, CON, ERR, VAR, ExoticUse, expr_equal
 from hobind.openterm import (
     ArityMismatch,
     ExoticFunction,
@@ -61,6 +61,9 @@ VALIDATION = [
     (1, Abs(App(Bnd(1), Probe(2))), "not an open-term body: Probe(pid=2)"),
     (1, None, "not an open-term body: None"),
     (1, Abs(Abs(Bnd(2))), "open-term body has dangling indices"),
+    # a value that is no term but has a ``pids`` attribute
+    (1, ExoticUse(frozenset(), "x"),
+     "not an open-term body: ExoticUse('opaque binder argument inspected via x')"),
 ]
 
 

@@ -535,3 +535,19 @@ def test_importing_the_library_imports_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
                           capture_output=True, text=True, check=True, timeout=60)
     assert done.stdout == "[]\n"
+
+
+def test_importing_the_library_compiles_no_generated_source():
+    # the "compile" audit event comes with every compile, exec and eval of
+    # source text; none may be called from the library's own code, as the
+    # node classes are built with no source of their own
+    code = ("import sys; src = sys.argv[1]; sys.path.insert(0, src); calls = []\n"
+            "def hook(event, args):\n"
+            "    if event == 'compile' and sys._getframe(1).f_code.co_filename.startswith(src):\n"
+            "        calls.append(args[1])\n"
+            "sys.addaudithook(hook)\n"
+            "import hobind, hobind.cli; hobind.binder.ground_samples(); print(calls)")
+    src = pathlib.Path(hobind.terms.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(src)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout == "[]\n"
