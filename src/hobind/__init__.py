@@ -1,24 +1,6 @@
-"""Higher-order abstract syntax binders over a de Bruijn index core."""
+"""Higher-order abstract syntax binders over a de Bruijn core, ``hobind.terms``."""
 
-from .terms import (
-    Abs,
-    App,
-    Bnd,
-    Con,
-    DbTerm,
-    Err,
-    ParseError,
-    PreconditionViolated,
-    Var,
-    bind_probe,
-    fresh_probe,
-    from_text,
-    instantiate,
-    level,
-    proper,
-    size,
-    to_text,
-)
+from .terms import ParseError, PreconditionViolated
 from .expr import (
     APP,
     CON,

@@ -22,6 +22,7 @@ from .terms import (
     Err,
     ProbeId,
     Var,
+    _is_term,
     _node,
     instantiate,
     level,
@@ -152,6 +153,8 @@ def to_db(e: Expr) -> DbTerm:
 
 def from_db(t: DbTerm) -> Expr:
     """Lift a proper, probe-free de Bruijn term; inverse of ``to_db``."""
+    if not _is_term(t):
+        raise TypeError(f"from_db expects a de Bruijn term, got {type(t).__name__}")
     if not level(0, _probe_free(t, "from_db")):
         raise NotProper("term has dangling indices")
     return Expr(t)

@@ -262,8 +262,10 @@ def pretty(t: NamedTerm) -> str:
         elif type(t) is NLam:
             out.append(f"fn {t.name}. ")
             todo.append((t.body, False))
-        else:
+        elif type(t) is NApp:
             todo += ((t.right, True), " ", (t.left, True))
+        else:
+            raise TypeError(f"not a named term: {t!r}")
     return "".join(out)
 
 

@@ -52,6 +52,7 @@ from .terms import (
     Probe,
     Var,
     _Leaf,
+    _is_term,
     _leaf_offset,
     _natural,
     _node,
@@ -96,7 +97,7 @@ class OpenTerm:
 
     def __init__(self, arity: int, body: Body):
         _natural("arity", arity)
-        if not isinstance(body, (_Leaf, App, Abs)):
+        if not _is_term(body):
             raise ValueError(f"not an open-term body: {body!r}")
         pids = body.pids
         # one pass over the ids: each must be Hole(k)'s ~k with k below

@@ -479,6 +479,13 @@ _probe_pid, _probe_pids = _setters(Probe, "pid", "pids")
 
 DbTerm = Union[Con, Var, App, Err, Bnd, Abs, Probe]
 
+
+def _is_term(t: object) -> bool:
+    # a tree node, App, Abs or a leaf of any layer: the one check of the
+    # entry points that take a raw tree, each raising its own error
+    return isinstance(t, (_Leaf, App, Abs))
+
+
 _ERR = Err()  # the one node the reader builds for every ERR
 
 ProbeId = int

@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 
 import hobind.openterm
 import hobind.terms
-from hobind.expr import APP, VAR, ExoticUse, Expr, NotProper, VApp, cases, from_db
+from hobind.expr import APP, CON, VAR, ExoticUse, Expr, NotProper, VApp, cases, from_db
+from hobind.named_lambda import NVar
 from hobind.openterm import Hole, OpenTerm, enumerate_db_terms, reflect
 from hobind.terms import (
     Abs,
@@ -160,6 +161,14 @@ class TestGuardsStillFire:
         with pytest.raises(ExoticUse) as exc:
             from_db(t)
         assert exc.value.op == "from_db" and all(pid < 0 for pid in exc.value.pids)
+
+    @pytest.mark.parametrize("t", [CON("a"), 5, None, NVar("x")],
+                             ids=lambda t: type(t).__name__)
+    def test_from_db_of_a_non_term(self, t):
+        # the term check OpenTerm makes, read before any cached field
+        with pytest.raises(TypeError) as exc:
+            from_db(t)
+        assert str(exc.value) == f"from_db expects a de Bruijn term, got {type(t).__name__}"
 
     def test_instantiate_above_its_level(self):
         for j, t in [(0, Bnd(1)), (0, Abs(Bnd(2))), (1, App(C, Bnd(2)))]:

@@ -190,6 +190,10 @@ class TestEncode:
             well_scoped(NLam("x", 5))
         with pytest.raises(TypeError, match="^not a named term: 'junk'$"):
             encode(NApp(NFree(0), "junk"))
+        # the printer refuses what the encoder refuses, at any position
+        for t, bad in [(NApp(1, NVar("x")), 1), (NLam("x", 5), 5), (5, 5)]:
+            with pytest.raises(TypeError, match=f"^not a named term: {bad}$"):
+                pretty(t)
 
 
 def differential_terms():

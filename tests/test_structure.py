@@ -3,8 +3,9 @@ closures on probes and catches the opacity signal, one runner reports
 every law, ``encode``'s closures restore no state, no module imports a
 name it does not use, open terms are walked only to place a parse error,
 each input rule is checked in one place, only ``expr`` reads a term's
-tree, and the public names are pinned so that any addition or removal
-shows up as a change to this file.
+tree, the public names are pinned so that any addition or removal
+shows up as a change to this file, and the package exports none of the
+de Bruijn kernel but its two exceptions.
 """
 
 import ast
@@ -12,6 +13,7 @@ import pathlib
 import types
 
 import hobind
+import hobind.terms
 
 SRC = pathlib.Path(hobind.__file__).resolve().parent
 
@@ -108,8 +110,9 @@ def test_open_terms_are_walked_only_to_place_a_parse_error():
 def test_each_input_rule_is_checked_in_one_place():
     # every index, variable number and arity goes through ``terms._natural``
     # (an operation's index through ``terms._index``), every constant name
-    # through ``Con`` and every binder name through ``NLam``; no copy of
-    # any of these checks is left elsewhere
+    # through ``Con``, every binder name through ``NLam`` and every raw
+    # tree from outside through ``terms._is_term``; no copy of any of these
+    # checks is left elsewhere
     below_zero = top_level_uses(
         lambda n: isinstance(n, ast.Compare) and any(
             isinstance(op, ast.Lt) and isinstance(right, ast.Constant) and right.value == 0
@@ -123,6 +126,10 @@ def test_each_input_rule_is_checked_in_one_place():
         lambda n: isinstance(n, ast.Attribute) and n.attr == "fullmatch"
         and isinstance(n.value, ast.Name) and n.value.id == "_NAME")
     assert [(module, owner) for module, owner, _ in name_checks] == [("named_lambda", "NLam")]
+    term_checks = top_level_uses(
+        lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        and n.func.id == "isinstance" and "_Leaf" in names_in(n.args[1]))
+    assert [(module, owner) for module, owner, _ in term_checks] == [("terms", "_is_term")]
 
 
 def test_only_expr_reads_a_term_tree():
@@ -139,21 +146,39 @@ def test_only_expr_reads_a_term_tree():
 
 
 PUBLIC = {
-    "APP", "Abs", "AbstrClassification", "App", "AppCase", "Binder1",
-    "Binder2", "Bnd", "CON", "Con", "ConstCon", "ConstErr", "ConstVar",
-    "DbTerm", "ERR", "Err", "Exotic", "ExoticUse", "Expr", "ExprView",
-    "Identity", "LAM", "LamCase", "NotProper", "ParseError",
+    "APP", "AbstrClassification", "AppCase", "Binder1", "Binder2", "CON",
+    "ConstCon", "ConstErr", "ConstVar", "ERR", "Exotic", "ExoticUse", "Expr",
+    "ExprView", "Identity", "LAM", "LamCase", "NotProper", "ParseError",
     "PreconditionViolated", "PremiseViolated", "PurityError", "VAR", "VApp",
-    "VCon", "VErr", "VLam", "VVar", "Var", "abstr", "abstr_lam_check",
-    "bind_probe", "cases", "classify", "expr_equal", "expr_size",
-    "fresh_probe", "from_db", "from_text", "instantiate", "lbind", "level",
-    "ordinary", "pretty", "proper", "size", "to_db", "to_text",
+    "VCon", "VErr", "VLam", "VVar", "abstr", "abstr_lam_check", "cases",
+    "classify", "expr_equal", "expr_size", "from_db", "lbind", "ordinary",
+    "pretty", "to_db",
+}
+
+# the de Bruijn kernel names, reachable as ``hobind.terms.<name>`` only
+KERNEL = {
+    "Abs", "App", "Bnd", "Con", "DbTerm", "Err", "Var", "bind_probe",
+    "fresh_probe", "from_text", "instantiate", "level", "proper", "size",
+    "to_text",
 }
 
 
-def test_public_names_are_pinned():
-    exported = {
-        name for name, value in vars(hobind).items()
+def exported() -> dict:
+    return {
+        name: value for name, value in vars(hobind).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert exported == PUBLIC
+
+
+def test_public_names_are_pinned():
+    assert set(exported()) == PUBLIC
+
+
+def test_the_kernel_stays_behind_hobind_terms():
+    # the package is the HOAS level: of the kernel it re-exports only the
+    # two exceptions HOAS-level calls raise, and every kernel name is
+    # still reachable as ``hobind.terms.<name>``
+    kernel = vars(hobind.terms).values()
+    assert sorted(name for name, value in exported().items()
+                  if any(value is v for v in kernel)) == ["ParseError", "PreconditionViolated"]
+    assert [name for name in sorted(KERNEL) if not hasattr(hobind.terms, name)] == []
