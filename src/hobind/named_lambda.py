@@ -39,10 +39,10 @@ subtree outside it.
 
 from __future__ import annotations
 
-import functools
 import random
 import re
 import sys
+from itertools import combinations
 from typing import Iterator, Union
 
 from .binder import LAM
@@ -273,41 +273,46 @@ def pretty(t: NamedTerm) -> str:
 # Encoding and decoding
 
 def encode(t: NamedTerm, sig: OlSig = DEFAULT_SIG) -> Expr:
-    c_app, c_lam = Con(sig.c_app), Con(sig.c_lam)
+    return Expr(_encode(t, {}, Con(sig.c_app), Con(sig.c_lam)))
 
+
+def _encode(t: NamedTerm, env: dict[str, DbTerm], c_app: Con, c_lam: Con) -> DbTerm:
+    """``encode``'s raw tree. At module level, as ``_binder`` is: two closures
+    that call each other are a reference cycle, left to the cycle collector."""
     # raw trees throughout, in ``env``: bound name -> the innermost
     # binder's argument; Expr wraps only what a LAM closure returns, so
     # every binder body still passes its properness check
-    def go(t: NamedTerm, env: dict[str, DbTerm]) -> DbTerm:
-        done: list[DbTerm] = []  # encoded subterms, innermost last
-        # named terms still to encode, or NApp to join the last two encoded
-        todo: list = [t]
-        while todo:
-            node = todo.pop()
-            cls = type(node)
-            if cls is NApp:
-                todo += (NApp, node.right, node.left)
-            elif cls is NVar:
-                try:
-                    done.append(env[node.name])
-                except KeyError:
-                    raise ValueError(f"unbound variable {node.name!r}") from None
-            elif node is NApp:
-                right = done.pop()
-                done[-1] = App(App(c_app, done[-1]), right)
-            elif cls is NFree:
-                done.append(Var(node.index))
-            elif cls is NLam:
-                done.append(App(c_lam, _raw(LAM(binder(node.name, node.body, env)), "encode")))
-            else:
-                raise TypeError(f"not a named term: {node!r}")
-        return done[0]
+    done: list[DbTerm] = []  # encoded subterms, innermost last
+    # named terms still to encode, or NApp to join the last two encoded
+    todo: list = [t]
+    while todo:
+        node = todo.pop()
+        cls = type(node)
+        if cls is NApp:
+            todo += (NApp, node.right, node.left)
+        elif cls is NVar:
+            try:
+                done.append(env[node.name])
+            except KeyError:
+                raise ValueError(f"unbound variable {node.name!r}") from None
+        elif node is NApp:
+            right = done.pop()
+            done[-1] = App(App(c_app, done[-1]), right)
+        elif cls is NFree:
+            done.append(Var(node.index))
+        elif cls is NLam:
+            binder = _binder(node.name, node.body, env, c_app, c_lam)
+            done.append(App(c_lam, _raw(LAM(binder), "encode")))
+        else:
+            raise TypeError(f"not a named term: {node!r}")
+    return done[0]
 
-    def binder(name: str, body: NamedTerm, env: dict[str, DbTerm]) -> Binder1:
-        # the body in an environment of its own: the closure keeps no state
-        return lambda x: Expr(go(body, {**env, name: _raw(x, "encode")}))
 
-    return Expr(go(t, {}))
+def _binder(name: str, body: NamedTerm, env: dict[str, DbTerm], c_app: Con, c_lam: Con) -> Binder1:
+    """``LAM``'s closure for ``fn name. body``; see ``_encode`` for why at module level."""
+    # the body in an environment of its own: the closure keeps no state,
+    # so it can run again (``double_eval_check`` does)
+    return lambda x: Expr(_encode(body, {**env, name: _raw(x, "encode")}, c_app, c_lam))
 
 
 def decode(e: Expr, sig: OlSig = DEFAULT_SIG) -> NamedTerm:
@@ -382,26 +387,22 @@ _FREE = range(3)
 
 def enumerate_named_terms(max_size: int) -> Iterator[NamedTerm]:
     """All well-scoped named terms of node count <= max_size."""
-
-    @functools.cache
-    def of_size(s: int, bound: frozenset[str]) -> list[NamedTerm]:
-        out: list[NamedTerm] = []
-        if s == 1:
-            out.extend(NVar(n) for n in sorted(bound))
-            out.extend(NFree(i) for i in _FREE)
-        else:
-            for name in _NAMES:
-                out.extend(NLam(name, b) for b in of_size(s - 1, bound | {name}))
-            for a in range(1, s - 1):
-                out.extend(
-                    NApp(l, r)
-                    for l in of_size(a, bound)
-                    for r in of_size(s - 1 - a, bound)
-                )
-        return out
-
+    # size by size, from the leaves up, as ``openterm.enumerate_db_terms``
+    # builds: the terms over each set of names in scope that a term of at
+    # most max_size nodes can have a subterm of that size under; with no
+    # recursion there is no cached closure calling itself, a reference cycle
+    scopes = [frozenset(c) for k in range(len(_NAMES) + 1) for c in combinations(_NAMES, k)]
+    of_size: dict[tuple[int, frozenset[str]], list[NamedTerm]] = {}
     for s in range(1, max_size + 1):
-        yield from of_size(s, frozenset())
+        for bound in (b for b in scopes if len(b) <= max_size - s):
+            if s == 1:
+                out = [*(NVar(n) for n in sorted(bound)), *(NFree(i) for i in _FREE)]
+            else:
+                out = [NLam(n, b) for n in _NAMES for b in of_size[s - 1, bound | {n}]]
+                out += (NApp(l, r) for a in range(1, s - 1)
+                        for l in of_size[a, bound] for r in of_size[s - 1 - a, bound])
+            of_size[s, bound] = out
+        yield from of_size[s, frozenset()]
 
 
 def gen_named_term(max_size: int, seed: int) -> NamedTerm:
@@ -411,19 +412,21 @@ def gen_named_term(max_size: int, seed: int) -> NamedTerm:
 
 def _draw_named_term(rng: random.Random, max_size: int) -> NamedTerm:
     """The next term of ``gen_named_term``'s kind drawn from ``rng``."""
+    return _gen_named(rng.random, rng.choice, max_size, ())
+
+
+def _gen_named(coin, choice, budget: int, bound: tuple[str, ...]) -> NamedTerm:
+    """A term of <= ``budget`` nodes over ``bound``. At module level: a closure
+    that calls itself is a reference cycle, left to the cycle collector by each draw."""
     # ``choice(range(n))`` draws what ``randrange(n)`` draws, from the
     # same bits (both take ``_randbelow(n)``), at less cost per call
-    coin, choice = rng.random, rng.choice
-
-    def gen(budget: int, bound: tuple[str, ...]) -> NamedTerm:
-        if budget <= 1 or coin() < 0.3:
-            if bound and coin() < 0.5:
-                return NVar(choice(bound))
-            return NFree(choice(_FREE))
-        if coin() < 0.45:
-            name = choice(_NAMES)
-            return NLam(name, gen(budget - 1, bound + (name,)))
-        split = choice(range(1, budget - 1)) if budget > 2 else 1
-        return NApp(gen(split, bound), gen(budget - 1 - split, bound))
-
-    return gen(max_size, ())
+    if budget <= 1 or coin() < 0.3:
+        if bound and coin() < 0.5:
+            return NVar(choice(bound))
+        return NFree(choice(_FREE))
+    if coin() < 0.45:
+        name = choice(_NAMES)
+        return NLam(name, _gen_named(coin, choice, budget - 1, bound + (name,)))
+    split = choice(range(1, budget - 1)) if budget > 2 else 1
+    return NApp(_gen_named(coin, choice, split, bound),
+                _gen_named(coin, choice, budget - 1 - split, bound))

@@ -165,17 +165,15 @@ def enumerate_open_terms(arity: int, max_depth: int) -> Iterator[OpenTerm]:
     """All open-term bodies of height <= max_depth, duplicate-free."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-
-    @functools.cache
-    def bodies(depth: int, binders: int) -> list[Body]:
-        out = list(_leaves(arity, binders))
-        if depth >= 2:
-            sub = bodies(depth - 1, binders)
-            out.extend(App(l, r) for l in sub for r in sub)
-            out.extend(Abs(b) for b in bodies(depth - 1, binders + 1))
-        return out
-
-    for b in bodies(max_depth, 0):
+    # height by height, from the leaves up: ``bodies[b]`` holds the bodies
+    # of the current height under b binders, for each b at which a body of
+    # height max_depth can have a subterm of that height; with no recursion
+    # there is no cached closure calling itself, a reference cycle
+    bodies = [_leaves(arity, b) for b in range(max_depth)]
+    for _ in range(1, max_depth):
+        bodies = [[*_leaves(arity, b), *(App(l, r) for l in sub for r in sub),
+                   *map(Abs, bodies[b + 1])] for b, sub in enumerate(bodies[:-1])]
+    for b in bodies[0]:
         yield OpenTerm(arity, b)
 
 
@@ -188,16 +186,18 @@ def _draw_open_term(rng: random.Random, arity: int, max_depth: int) -> OpenTerm:
     """The next open term of ``gen_open_term``'s kind drawn from ``rng``."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    coin, choice = rng.random, rng.choice
+    return OpenTerm(arity, _gen_open(rng.random, rng.choice, arity, max_depth, 0))
 
-    def gen(depth: int, binders: int) -> Body:
-        if depth <= 1 or coin() < 0.3:
-            return choice(_leaves(arity, binders))
-        if coin() < 0.5:
-            return App(gen(depth - 1, binders), gen(depth - 1, binders))
-        return Abs(gen(depth - 1, binders + 1))
 
-    return OpenTerm(arity, gen(max_depth, 0))
+def _gen_open(coin, choice, arity: int, depth: int, binders: int) -> Body:
+    """A body of height <= ``depth``. At module level: a closure that calls
+    itself is a reference cycle, left to the cycle collector by each draw."""
+    if depth <= 1 or coin() < 0.3:
+        return choice(_leaves(arity, binders))
+    if coin() < 0.5:
+        return App(_gen_open(coin, choice, arity, depth - 1, binders),
+                   _gen_open(coin, choice, arity, depth - 1, binders))
+    return Abs(_gen_open(coin, choice, arity, depth - 1, binders + 1))
 
 
 def enumerate_db_terms(max_size: int) -> Iterator[DbTerm]:

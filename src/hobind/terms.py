@@ -530,7 +530,9 @@ def proper(t: DbTerm) -> bool:
 
 
 def size(t: DbTerm) -> int:
-    """Node count."""
+    """Node count; a non-term raises ``TypeError``, as ``to_text`` does."""
+    if not _is_term(t):
+        raise TypeError(f"not a term: {t!r}")
     return sum(1 for _ in walk(t))
 
 

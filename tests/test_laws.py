@@ -15,8 +15,9 @@ import pytest
 import hobind
 from hobind import laws
 from hobind.binder import Identity
-from hobind.named_lambda import gen_named_term, pretty
-from hobind.openterm import gen_open_term, to_text
+from hobind import terms
+from hobind.named_lambda import enumerate_named_terms, gen_named_term, pretty
+from hobind.openterm import enumerate_db_terms, enumerate_open_terms, gen_open_term, to_text
 
 # the random draws per case of each law, in ``laws.LAWS``'s order
 DRAWS = {"lam-injectivity": 2, "characterization": 1, "abstr-2-componentwise": 1,
@@ -157,3 +158,25 @@ def test_case_digests_are_pinned(depth, seed):
 def test_generator_digests_are_pinned():
     assert digest(to_text(gen_open_term(2, 5, s)) for s in range(1000)) == OPEN_TERM_DIGEST
     assert digest(pretty(gen_named_term(12, s)) for s in range(1000)) == NAMED_TERM_DIGEST
+
+
+# The exhaustive sweeps in their enumeration order, as texts: every open
+# term of arity 1 and of arity 2 to height 3, every raw term to size 5 and
+# every closed named term to size 6, with the number of terms in each.
+ENUMERATIONS = {
+    "open-1-3": (lambda: map(to_text, enumerate_open_terms(1, 3)), 2471,
+                 "3fbd20905bca1aa1b86b18fbeea29154a625332ceb075d1d06fb78340b2494a7"),
+    "open-2-3": (lambda: map(to_text, enumerate_open_terms(2, 3)), 4184,
+                 "406c0692bb921fa5ffbed77f54f153c087b1e1102a6630e22cf4ccb87d6f171c"),
+    "db-5": (lambda: map(terms.to_text, enumerate_db_terms(5)), 1211,
+             "db4695cff3d2f91add1aca718eb2959561f03ef813dd5cdf43dd4454fc52baa6"),
+    "named-6": (lambda: map(pretty, enumerate_named_terms(6)), 9966,
+                "d159de95c3e0801143f3d97987402e1a1c17ada7adfee29eb8d31fc7c0cb1424"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATIONS))
+def test_enumeration_orders_are_pinned(name):
+    texts, count, sha = ENUMERATIONS[name]
+    texts = list(texts())
+    assert (len(texts), digest(texts)) == (count, sha)

@@ -1,11 +1,12 @@
 """Structural guards over ``src/hobind``: one binding session calls
 closures on probes and catches the opacity signal, one runner reports
-every law, ``encode``'s closures restore no state, no module imports a
-name it does not use, open terms are walked only to place a parse error,
-each input rule is checked in one place, only ``expr`` reads a term's
-tree, the public names are pinned so that any addition or removal
-shows up as a change to this file, and the package exports none of the
-de Bruijn kernel but its two exceptions.
+every law, ``encode``'s closures restore no state, no nested function
+names itself or a sibling, no module imports a name it does not use,
+open terms are walked only to place a parse error, each input rule is
+checked in one place, only ``expr`` reads a term's tree, the public
+names are pinned so that any addition or removal shows up as a change
+to this file, and the package exports none of the de Bruijn kernel but
+its two exceptions.
 """
 
 import ast
@@ -77,6 +78,49 @@ def test_encode_keeps_no_state_to_restore():
     # each binder closure of encode gets an environment of its own
     tree = ast.parse((SRC / "named_lambda.py").read_text(encoding="utf-8"))
     assert not [n for n in ast.walk(tree) if isinstance(n, ast.Try) and n.finalbody]
+
+
+def nested_functions(scope):
+    """The functions, ``def`` and ``lambda``, defined in ``scope``'s body
+    and not inside another of them.
+    """
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            yield node
+        else:
+            todo += ast.iter_child_nodes(node)
+
+
+def self_naming_nested_functions():
+    """``(module, name)`` of every function nested in a function of
+    ``src/hobind`` that names itself or a sibling nested function.
+    """
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # a lambda's name is the one it is assigned to
+        assigned = {id(n.value): n.targets[0].id for n in ast.walk(tree)
+                    if isinstance(n, ast.Assign) and isinstance(n.value, ast.Lambda)
+                    and len(n.targets) == 1 and isinstance(n.targets[0], ast.Name)}
+        for scope in ast.walk(tree):
+            if not isinstance(scope, (ast.FunctionDef, ast.Lambda)):
+                continue
+            nested = {f: getattr(f, "name", None) or assigned.get(id(f), "<lambda>")
+                      for f in nested_functions(scope)}
+            siblings = set(nested.values())
+            found += [(path.stem, name) for f, name in nested.items()
+                      if siblings & {n.id for n in ast.walk(f) if isinstance(n, ast.Name)}]
+    return sorted(found)
+
+
+def test_no_nested_function_names_itself_or_a_sibling():
+    # such a function is a reference cycle (function -> closure cell ->
+    # function), which every call that defines it leaves to the cycle
+    # collector; the recursive helpers live at module level instead
+    # (tests/test_memory.py checks the calls themselves)
+    assert self_naming_nested_functions() == []
 
 
 def test_every_imported_name_is_used():

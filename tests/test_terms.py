@@ -102,6 +102,13 @@ class TestSize:
         assert size(App(Var(0), Var(1))) == 3
         assert size(Abs(App(Bnd(0), Var(3)))) == 4
 
+    @pytest.mark.parametrize("t", [None, 5, "(VAR 0)"])
+    def test_refuses_a_non_term(self, t):
+        # a non-term is not counted as a leaf; the message is ``to_text``'s
+        with pytest.raises(TypeError) as caught:
+            size(t)
+        assert str(caught.value) == f"not a term: {t!r}"
+
 
 class TestInstantiate:
     def test_direct_hit(self):
