@@ -39,6 +39,7 @@ subtree outside it.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 import sys
@@ -47,6 +48,7 @@ from typing import Iterator, Union
 
 from .binder import LAM
 from .expr import Binder1, Expr, _raw, _transparent, to_db
+from .openterm import _pick
 from .terms import (Abs, App, Bnd, Con, DbTerm, ParseError, Var, _Branch, _node,
                     _natural, _offset, _setters, instantiate)
 
@@ -273,7 +275,14 @@ def pretty(t: NamedTerm) -> str:
 # Encoding and decoding
 
 def encode(t: NamedTerm, sig: OlSig = DEFAULT_SIG) -> Expr:
-    return Expr(_encode(t, {}, Con(sig.c_app), Con(sig.c_lam)))
+    return Expr(_encode(t, {}, *_heads(sig.c_app, sig.c_lam)))
+
+
+@functools.lru_cache(maxsize=16)
+def _heads(c_app: str, c_lam: str) -> tuple[Con, Con]:
+    # a signature's two head constants, built once: building them took
+    # nearly a tenth of a small encode. Keyed on names ``OlSig`` has checked
+    return Con(c_app), Con(c_lam)
 
 
 def _encode(t: NamedTerm, env: dict[str, DbTerm], c_app: Con, c_lam: Con) -> DbTerm:
@@ -412,21 +421,20 @@ def gen_named_term(max_size: int, seed: int) -> NamedTerm:
 
 def _draw_named_term(rng: random.Random, max_size: int) -> NamedTerm:
     """The next term of ``gen_named_term``'s kind drawn from ``rng``."""
-    return _gen_named(rng.random, rng.choice, max_size, ())
+    return _gen_named(rng.random, rng.getrandbits, max_size, ())
 
 
-def _gen_named(coin, choice, budget: int, bound: tuple[str, ...]) -> NamedTerm:
+def _gen_named(coin, bits, budget: int, bound: tuple[str, ...]) -> NamedTerm:
     """A term of <= ``budget`` nodes over ``bound``. At module level: a closure
     that calls itself is a reference cycle, left to the cycle collector by each draw."""
-    # ``choice(range(n))`` draws what ``randrange(n)`` draws, from the
-    # same bits (both take ``_randbelow(n)``), at less cost per call
+    # each ``_pick`` draws what ``choice`` would (``openterm._pick``)
     if budget <= 1 or coin() < 0.3:
         if bound and coin() < 0.5:
-            return NVar(choice(bound))
-        return NFree(choice(_FREE))
+            return NVar(_pick(bits, bound))
+        return NFree(_pick(bits, _FREE))
     if coin() < 0.45:
-        name = choice(_NAMES)
-        return NLam(name, _gen_named(coin, choice, budget - 1, bound + (name,)))
-    split = choice(range(1, budget - 1)) if budget > 2 else 1
-    return NApp(_gen_named(coin, choice, split, bound),
-                _gen_named(coin, choice, budget - 1 - split, bound))
+        name = _pick(bits, _NAMES)
+        return NLam(name, _gen_named(coin, bits, budget - 1, bound + (name,)))
+    split = _pick(bits, range(1, budget - 1)) if budget > 2 else 1
+    return NApp(_gen_named(coin, bits, split, bound),
+                _gen_named(coin, bits, budget - 1 - split, bound))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import random
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from . import binder
 from .binder import ArityMismatch as ArityMismatch
@@ -119,11 +119,22 @@ _ot_arity, _ot_body = _setters(OpenTerm, "arity", "body")
 def reflect(ot: OpenTerm) -> Callable[..., Expr]:
     """The closure of ``ot.arity`` arguments substituting argument k for
     Hole(k); called with any other number of arguments it raises
-    ``ArityMismatch``, and with a non-``Expr`` one ``TypeError``.
+    ``ArityMismatch``, and with a non-``Expr`` one ``TypeError``, as
+    ``reflect`` itself does when ``ot`` is not an ``OpenTerm``.
     """
-    # the ids ~0, ..., ~(arity - 1) in one call; a generator costs 0.6 µs
-    # more a reflect
-    return binder._section(ot.body, tuple(range(-1, ~ot.arity, -1)), "reflect")
+    try:
+        body, arity = ot.body, ot.arity
+    except AttributeError:  # read first, so an OpenTerm pays nothing for the check
+        raise TypeError(f"reflect expects an OpenTerm, got {type(ot).__name__}") from None
+    return binder._section(body, _hole_ids(arity), "reflect")
+
+
+@functools.lru_cache(maxsize=16)
+def _hole_ids(arity: int) -> tuple[int, ...]:
+    # the ids ~0, ..., ~(arity - 1), built once per arity: a sweep
+    # reflects thousands of open terms of arity 1 or 2, and building the
+    # tuple took more than a third of a reflect
+    return tuple(range(-1, ~arity, -1))
 
 
 def reify(fn: Callable[..., Expr], arity: int = 1) -> OpenTerm:
@@ -186,18 +197,32 @@ def _draw_open_term(rng: random.Random, arity: int, max_depth: int) -> OpenTerm:
     """The next open term of ``gen_open_term``'s kind drawn from ``rng``."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    return OpenTerm(arity, _gen_open(rng.random, rng.choice, arity, max_depth, 0))
+    return OpenTerm(arity, _gen_open(rng.random, rng.getrandbits, arity, max_depth, 0))
 
 
-def _gen_open(coin, choice, arity: int, depth: int, binders: int) -> Body:
+def _pick(bits: Callable[[int], int], seq: Sequence):
+    # what ``choice(seq)`` returns, from the bits it takes: with n items,
+    # ``getrandbits(n.bit_length())`` until the value is below n, as
+    # ``Random._randbelow_with_getrandbits`` draws on Python 3.10 to 3.13.
+    # One frame where ``choice`` runs two; every draw of the generators
+    # goes through it, so a seed draws the same cases on every version
+    n = len(seq)
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return seq[r]
+
+
+def _gen_open(coin, bits, arity: int, depth: int, binders: int) -> Body:
     """A body of height <= ``depth``. At module level: a closure that calls
     itself is a reference cycle, left to the cycle collector by each draw."""
     if depth <= 1 or coin() < 0.3:
-        return choice(_leaves(arity, binders))
+        return _pick(bits, _leaves(arity, binders))
     if coin() < 0.5:
-        return App(_gen_open(coin, choice, arity, depth - 1, binders),
-                   _gen_open(coin, choice, arity, depth - 1, binders))
-    return Abs(_gen_open(coin, choice, arity, depth - 1, binders + 1))
+        return App(_gen_open(coin, bits, arity, depth - 1, binders),
+                   _gen_open(coin, bits, arity, depth - 1, binders))
+    return Abs(_gen_open(coin, bits, arity, depth - 1, binders + 1))
 
 
 def enumerate_db_terms(max_size: int) -> Iterator[DbTerm]:
@@ -256,7 +281,11 @@ def exotic_library(arity: int | None = None) -> list[tuple[str, Callable]]:
 # Textual form: the term grammar extended with (HOLE k).
 
 def to_text(ot: OpenTerm) -> str:
-    return _write_text(ot.body, Hole)
+    try:
+        body = ot.body
+    except AttributeError:
+        raise TypeError(f"to_text expects an OpenTerm, got {type(ot).__name__}") from None
+    return _write_text(body, Hole)
 
 
 def from_text(text: str, arity: int = 1) -> OpenTerm:

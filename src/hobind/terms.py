@@ -486,6 +486,13 @@ def _is_term(t: object) -> bool:
     return isinstance(t, (_Leaf, App, Abs))
 
 
+def _not_term(op: str, *args: object) -> TypeError:
+    # built only once reading a field of an argument has failed, as
+    # ``expr._not_expr`` is, so calls on terms pay nothing for the check
+    bad = next(a for a in args if not _is_term(a))
+    return TypeError(f"{op} expects a term, got {type(bad).__name__}")
+
+
 _ERR = Err()  # the one node the reader builds for every ERR
 
 ProbeId = int
@@ -542,10 +549,13 @@ def instantiate(t: DbTerm, j: int, u: DbTerm) -> DbTerm:
     ``j`` must be natural and ``u`` proper, so no index shifting is ever
     required. Subtrees with no such occurrence are shared with ``t``.
     """
-    if not level(j + 1, t):
-        raise PreconditionViolated(f"instantiate: term is not at level {j + 1}")
-    if not proper(u):
-        raise PreconditionViolated("instantiate: replacement has dangling indices")
+    try:
+        if not level(j + 1, t):
+            raise PreconditionViolated(f"instantiate: term is not at level {j + 1}")
+        if not proper(u):
+            raise PreconditionViolated("instantiate: replacement has dangling indices")
+    except AttributeError:
+        raise _not_term("instantiate", t, u) from None
     _index("instantiate", j)
     return _substitute(t, None, j, u)
 
@@ -565,7 +575,10 @@ def fresh_probe() -> ProbeId:
 def bind_probe(t: DbTerm, p: ProbeId, i: int) -> DbTerm:
     """Turn Probe(p) at Abs-depth k into Bnd(i+k), ``i`` natural; leave everything else."""
     _index("bind_probe", i)
-    return _substitute(t, p, i, None)
+    try:
+        return _substitute(t, p, i, None)
+    except AttributeError:  # a term has every field the kernel reads
+        raise _not_term("bind_probe", t) from None
 
 
 def replace_probe(t: DbTerm, p: ProbeId, u: DbTerm) -> DbTerm:

@@ -8,6 +8,7 @@ from hobind import binder
 from hobind.binder import LAM, abstr
 from hobind.expr import APP, CON, ERR, VAR, ExoticUse, cases, expr_equal, to_db, VApp, VLam
 from hobind.named_lambda import (
+    DEFAULT_SIG,
     NApp,
     NFree,
     NLam,
@@ -145,6 +146,15 @@ class TestEncode:
         sig = OlSig(c_app="a", c_lam="l")
         t = parse("fn x. x")
         assert to_db(encode(t, sig)) == App(Con("l"), Abs(Bnd(0)))
+        # one term under each signature in turn: each result holds its own
+        # heads, however often the signatures' head constants are reused
+        t = parse("fn x. x x")
+        for c_app, c_lam, s in [("c_app", "c_lam", DEFAULT_SIG), ("a", "l", sig)] * 2:
+            body = App(App(Con(c_app), Bnd(0)), Bnd(0))
+            assert to_db(encode(t, s)) == App(Con(c_lam), Abs(body))
+        # a name is checked as a constant name before it is used as a key
+        with pytest.raises(ValueError, match="bad constant name"):
+            OlSig(c_app=["a"])
 
     def test_sig_requires_distinct_constants(self):
         with pytest.raises(ValueError):

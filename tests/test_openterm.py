@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hobind.binder import Exotic, LAM, abstr, classify
@@ -7,6 +9,7 @@ from hobind.openterm import (
     ExoticFunction,
     Hole,
     OpenTerm,
+    _pick,
     enumerate_db_terms,
     enumerate_open_terms,
     exotic_library,
@@ -156,6 +159,13 @@ class TestReflect:
             assert str(exc.value) == f"reflect expects an Expr, got {type(bad).__name__}"
         assert expr_equal(fn(VAR(2)), APP(VAR(2), CON("c")))
 
+    @pytest.mark.parametrize("bad", [5, None])
+    def test_refuses_what_is_not_an_open_term(self, bad):
+        for fn in (reflect, to_text):
+            with pytest.raises(TypeError) as exc:
+                fn(bad)
+            assert str(exc.value) == f"{fn.__name__} expects an OpenTerm, got {type(bad).__name__}"
+
     def test_reflected_closures_are_syntactic(self):
         for ot in enumerate_open_terms(1, 3):
             assert abstr(reflect(ot)) is True
@@ -290,6 +300,15 @@ class TestEnumeration:
 
 
 class TestGeneration:
+    def test_draw_kernel_takes_the_bits_choice_takes(self):
+        # every pinned case rests on this: the kernel returns what
+        # ``choice(range(n))`` returns and leaves the generator where it does
+        for seed in range(100):
+            for n in range(1, 65):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                assert _pick(ours.getrandbits, range(n)) == theirs.choice(range(n))
+                assert ours.getstate() == theirs.getstate()
+
     def test_deterministic(self):
         assert gen_open_term(1, 4, seed=7) == gen_open_term(1, 4, seed=7)
 

@@ -129,6 +129,14 @@ class TestInstantiate:
         with pytest.raises(PreconditionViolated):
             instantiate(Bnd(0), 0, Bnd(0))
 
+    @pytest.mark.parametrize("bad", [5, None])
+    def test_refuses_a_non_term(self, bad):
+        # in either place, named by its type as ``expr`` names a non-Expr
+        for args in ((bad, 0, Var(7)), (Abs(Bnd(0)), 0, bad)):
+            with pytest.raises(TypeError) as caught:
+                instantiate(*args)
+            assert str(caught.value) == f"instantiate expects a term, got {type(bad).__name__}"
+
     def test_size_identity_exhaustive(self):
         # size(result) = size(t) + hits * (size(u) - 1)
         u = App(C1, Var(0))
@@ -179,6 +187,12 @@ class TestProbes:
         assert bind_probe(App(Probe(p), Var(3)), p, 0) == App(Bnd(0), Var(3))
         assert bind_probe(Abs(Probe(p)), p, 0) == Abs(Bnd(1))
         assert bind_probe(C1, p, 0) == C1
+
+    @pytest.mark.parametrize("bad", [5, None])
+    def test_bind_probe_refuses_a_non_term(self, bad):
+        with pytest.raises(TypeError) as caught:
+            bind_probe(bad, fresh_probe(), 0)
+        assert str(caught.value) == f"bind_probe expects a term, got {type(bad).__name__}"
 
     def test_bind_probe_leaves_other_probes(self):
         p, q = fresh_probe(), fresh_probe()
