@@ -44,6 +44,7 @@ from .terms import (
     _index,
     _natural,
     _node,
+    _substitute,
     bind_probe,
     fresh_probe,
     instantiate,
@@ -110,12 +111,12 @@ def lbind(i: int, fn: Binder1) -> DbTerm:
     natural), incremented under each binder node of the body. An exotic
     ``fn`` raises ``ExoticUse`` naming ``lbind`` and its own probe.
     """
-    _index("lbind", i)  # refused before the closure runs
+    _index("lbind", i)  # refused before the closure runs, and not again
     (p,), body = _session(fn)
     if body is None:
         raise ExoticUse(frozenset((p,)), "lbind")
     assert level(0, body), "internal: binder body left the proper layer"
-    return _probe_free(bind_probe(body, p, i), "lbind")
+    return _probe_free(_substitute(body, p, i, None), "lbind")
 
 
 def abstr(fn: Callable[..., Expr], arity: int = 1) -> bool:

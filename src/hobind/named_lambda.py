@@ -34,7 +34,10 @@ costs O(depth) per binder. Applications go on an explicit stack;
 depth, so round trips are exact up to renaming. It matches the image's
 grammar, ``D ::= Var | Bnd | c_app $$ D $$ D | c_lam $$ Abs(D)``,
 top-down on one explicit stack and raises ``NotInImage`` at the first
-subtree outside it.
+subtree outside it. ``parse``, ``encode`` and ``decode`` share leaves:
+each free variable and display name ``xk`` with k below ``terms._SHARED``
+is one leaf in the process (``terms._VAR``, ``_NFREE``, ``_XVAR``), and
+``parse`` builds every other leaf once per call.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ from typing import Iterator, Union
 from .binder import LAM
 from .expr import Binder1, Expr, _raw, _transparent, to_db
 from .openterm import _pick
-from .terms import (Abs, App, Bnd, Con, DbTerm, ParseError, Var, _Branch, _node,
-                    _natural, _offset, _setters, instantiate)
+from .terms import (_SHARED, _VAR, Abs, App, Bnd, Con, DbTerm, ParseError, Var, _Branch,
+                    _natural, _node, _offset, _setters, instantiate)
 
 
 class NotInImage(Exception):
@@ -79,6 +82,12 @@ class NFree:
 
 
 (_nfree_index,) = _setters(NFree, "index")
+
+# the leaves of the first ``terms._SHARED`` free variables, and of decode's
+# display names x0, x1, ..., each built once, as ``terms._BND`` and
+# ``terms._VAR`` are; a name's leaf holds the name decode's binders take
+_NFREE = tuple(map(NFree, range(_SHARED)))
+_XVAR = tuple(NVar(f"x{k}") for k in range(_SHARED))
 
 
 # a binder name, and every identifier of the surface syntax but ``fn``
@@ -190,6 +199,7 @@ def parse(text: str) -> NamedTerm:
         raise ParseError(message, _offset(text, k, _TOKEN) + shift)
 
     scope: dict[str, int] = {}  # name -> binders of it in scope
+    leaves: dict[str, NamedTerm] = {}  # an atom's token -> the leaf its first occurrence built
     stack: list = []  # enclosing parenthesis groups, as (names, app)
     names: list[str] = []  # the innermost group's fn binders, outermost first
     app = None  # and the application it has built so far
@@ -216,10 +226,11 @@ def parse(text: str) -> NamedTerm:
         if "a" <= tok[:1] <= "z":
             if not scope.get(tok):
                 fail(f"unbound variable {tok!r} (free variables are #n)", i - 1)
-            node = NVar(tok)
+            node = leaves.get(tok) or leaves.setdefault(tok, NVar(tok))
         elif tok[:1] == "#":
             try:
-                node = NFree(int(tok[1:]))
+                node = leaves.get(tok) or leaves.setdefault(
+                    tok, _NFREE[k] if (k := int(tok[1:])) < _SHARED else NFree(k))
             except ValueError:  # more digits than int() converts, or a stray "#"
                 fail(f"number longer than {sys.get_int_max_str_digits()} digits", i - 1, 1)
         else:
@@ -308,7 +319,7 @@ def _encode(t: NamedTerm, env: dict[str, DbTerm], c_app: Con, c_lam: Con) -> DbT
             right = done.pop()
             done[-1] = App(App(c_app, done[-1]), right)
         elif cls is NFree:
-            done.append(Var(node.index))
+            done.append(_VAR[k] if (k := node.index) < _SHARED else Var(k))
         elif cls is NLam:
             binder = _binder(node.name, node.body, env, c_app, c_lam)
             done.append(App(c_lam, _raw(LAM(binder), "encode")))
@@ -351,13 +362,14 @@ def decode(e: Expr, sig: OlSig = DEFAULT_SIG) -> NamedTerm:
                 todo += (NApp, (node.right, depth), (left.right, depth))
                 continue
             if type(left) is Con and left.name == c_lam and type(node.right) is Abs:
-                todo += (f"x{depth + 1}", (node.right.body, depth + 1))
+                todo += (_XVAR[k].name if (k := depth + 1) < _SHARED else f"x{k}",
+                         (node.right.body, k))
                 continue
         elif cls is Var:
-            done.append(NFree(node.index))
+            done.append(_NFREE[k] if (k := node.index) < _SHARED else NFree(k))
             continue
         elif cls is Bnd:  # never dangling: the term is proper, and each Abs a c_lam body
-            done.append(NVar(f"x{depth - node.index}"))
+            done.append(_XVAR[k] if (k := depth - node.index) < _SHARED else NVar(f"x{k}"))
             continue
         raise NotInImage("term shape outside the encoding")
     return done[0]
@@ -389,9 +401,10 @@ def apply_binder(e: Expr, arg: Expr, sig: OlSig = DEFAULT_SIG) -> Expr:
 # ---------------------------------------------------------------------------
 # Term generators for the adequacy sweeps
 
-# the generators' alphabet: binder names, and the numbers of free variables
+# the generators' alphabet: binder names, their occurrences, and free variables
 _NAMES = ("x", "y", "z")
-_FREE = range(3)
+_BOUND = {name: NVar(name) for name in _NAMES}
+_FREE = _NFREE[:3]
 
 
 def enumerate_named_terms(max_size: int) -> Iterator[NamedTerm]:
@@ -405,7 +418,7 @@ def enumerate_named_terms(max_size: int) -> Iterator[NamedTerm]:
     for s in range(1, max_size + 1):
         for bound in (b for b in scopes if len(b) <= max_size - s):
             if s == 1:
-                out = [*(NVar(n) for n in sorted(bound)), *(NFree(i) for i in _FREE)]
+                out = [*(_BOUND[n] for n in sorted(bound)), *_FREE]
             else:
                 out = [NLam(n, b) for n in _NAMES for b in of_size[s - 1, bound | {n}]]
                 out += (NApp(l, r) for a in range(1, s - 1)
@@ -424,17 +437,19 @@ def _draw_named_term(rng: random.Random, max_size: int) -> NamedTerm:
     return _gen_named(rng.random, rng.getrandbits, max_size, ())
 
 
-def _gen_named(coin, bits, budget: int, bound: tuple[str, ...]) -> NamedTerm:
-    """A term of <= ``budget`` nodes over ``bound``. At module level: a closure
-    that calls itself is a reference cycle, left to the cycle collector by each draw."""
-    # each ``_pick`` draws what ``choice`` would (``openterm._pick``)
+def _gen_named(coin, bits, budget: int, bound: tuple[NVar, ...]) -> NamedTerm:
+    """A term of <= ``budget`` nodes over the names of the leaves in ``bound``. At module
+    level: a closure that calls itself is a reference cycle, left to the cycle collector."""
+    # each ``_pick`` draws what ``choice`` would (``openterm._pick``) from a
+    # sequence as long as the names or numbers it stands for, so it takes the
+    # same bits and hands out a shared leaf
     if budget <= 1 or coin() < 0.3:
         if bound and coin() < 0.5:
-            return NVar(_pick(bits, bound))
-        return NFree(_pick(bits, _FREE))
+            return _pick(bits, bound)
+        return _pick(bits, _FREE)
     if coin() < 0.45:
         name = _pick(bits, _NAMES)
-        return NLam(name, _gen_named(coin, bits, budget - 1, bound + (name,)))
+        return NLam(name, _gen_named(coin, bits, budget - 1, bound + (_BOUND[name],)))
     split = _pick(bits, range(1, budget - 1)) if budget > 2 else 1
     return NApp(_gen_named(coin, bits, split, bound),
                 _gen_named(coin, bits, budget - 1 - split, bound))

@@ -41,16 +41,17 @@ from .expr import (
     to_db,
 )
 from .terms import (
+    _BND,
+    _ERR,
+    _VAR,
     DERIVED,
     Abs,
     App,
     Bnd,
     Con,
     DbTerm,
-    Err,
     ParseError,
     Probe,
-    Var,
     _Leaf,
     _is_term,
     _leaf_offset,
@@ -168,8 +169,7 @@ _MAX_INDEX = 2
 @functools.cache
 def _leaves(arity: int, binders: int) -> tuple[Body, ...]:
     return (*(Hole(k) for k in range(arity)), *_CONS,
-            *(Var(i) for i in range(_MAX_INDEX)), Err(),
-            *(Bnd(j) for j in range(min(binders, _MAX_INDEX))))
+            *_VAR[:_MAX_INDEX], _ERR, *_BND[:min(binders, _MAX_INDEX)])
 
 
 def enumerate_open_terms(arity: int, max_depth: int) -> Iterator[OpenTerm]:
@@ -281,11 +281,9 @@ def exotic_library(arity: int | None = None) -> list[tuple[str, Callable]]:
 # Textual form: the term grammar extended with (HOLE k).
 
 def to_text(ot: OpenTerm) -> str:
-    try:
-        body = ot.body
-    except AttributeError:
-        raise TypeError(f"to_text expects an OpenTerm, got {type(ot).__name__}") from None
-    return _write_text(body, Hole)
+    if not isinstance(ot, OpenTerm):  # a raw tree has a body too: Abs
+        raise TypeError(f"to_text expects an OpenTerm, got {type(ot).__name__}")
+    return _write_text(ot.body, Hole)
 
 
 def from_text(text: str, arity: int = 1) -> OpenTerm:

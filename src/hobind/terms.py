@@ -64,13 +64,18 @@ is one, and every other subtree is shared with the input.
 padded with spaces) and parses the tokens in one loop. Tokens carry no
 positions: the character offset a ``ParseError`` reports is worked out
 only when one is raised, by a regular expression scan up to the
-offending token (``len(text)`` when the input ends too early). The
-reader shares leaves: the first ``(CON a)``, ``(VAR n)``, ``(BND i)`` or
-``(HOLE k)`` of a given text is checked and built, and every later one
-with the same head and atom is that node again (every ``ERR`` is one
-node), so ``t.left is t.right`` for ``(APP (CON c) (CON c))``. A leaf
-text that is invalid fails at its first occurrence, so messages and
-offsets are those of a reader that builds every leaf.
+offending token (``len(text)`` when the input ends too early).
+
+Leaves are values. ``_BND`` and ``_VAR`` hold ``Bnd(i)`` and ``Var(i)``
+for ``i`` below ``_SHARED`` (64), built once at import through the
+constructors; ``_substitute`` (so every ``LAM``) and the named codec hand
+them out, and build a larger index's leaf. The reader shares within a
+call: the first ``(CON a)``, ``(VAR n)``, ``(BND i)`` or ``(HOLE k)`` of
+a text is checked and built, and every later one with the same head and
+atom is that node again (every ``ERR`` is one node), so ``t.left is
+t.right`` for ``(APP (CON c) (CON c))``. A leaf text that is invalid
+fails at its first occurrence, so messages and offsets are those of a
+reader that builds every leaf.
 """
 
 from __future__ import annotations
@@ -493,7 +498,14 @@ def _not_term(op: str, *args: object) -> TypeError:
     return TypeError(f"{op} expects a term, got {type(bad).__name__}")
 
 
-_ERR = Err()  # the one node the reader builds for every ERR
+_ERR = Err()  # the one node the reader builds for every ERR, as the generators do
+
+# the leaves of the first _SHARED indices, each built once, through its
+# constructor: every builder hands these out, read inline (a helper would
+# cost a call per leaf), and builds a larger index's leaf itself
+_SHARED = 64
+_BND = tuple(map(Bnd, range(_SHARED)))
+_VAR = tuple(map(Var, range(_SHARED)))
 
 ProbeId = int
 
@@ -616,7 +628,7 @@ def _substitute(t: DbTerm, p: Optional[ProbeId], j: int, u: Optional[DbTerm]) ->
                 node = node.body
                 depth += 1
             else:
-                out = u if u is not None else Bnd(j + depth)
+                out = u if u is not None else _BND[k] if (k := j + depth) < _SHARED else Bnd(k)
                 break
         while stack:  # up, rebuilding, until a right child holds a target
             top = pop()

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import hobind.binder as binder_mod
+import hobind.terms as terms_mod
 from hobind.binder import (
     LAM,
     AppCase,
@@ -90,6 +91,23 @@ class TestLbind:
         with pytest.raises(PreconditionViolated, match=f"negative index {i}") as exc:
             lbind(i, fn)
         assert str(exc.value).startswith("lbind: ")
+
+
+    def test_checks_its_index_once(self, monkeypatch):
+        # lbind's own check is the only one: it substitutes through the
+        # kernel, not through bind_probe, which would check the index again
+        seen = []
+        real = terms_mod._index
+
+        def counting(op, i):
+            seen.append(op)
+            return real(op, i)
+
+        for module in (binder_mod, terms_mod):
+            monkeypatch.setattr(module, "_index", counting)
+        for i in (0, 3, 64, 100):
+            assert lbind(i, lambda x: APP(x, APP(CON("c1"), x))) == App(Bnd(i), App(Con("c1"), Bnd(i)))
+        assert seen == ["lbind"] * 4
 
 
 class TestAbstr:

@@ -159,7 +159,8 @@ class TestReflect:
             assert str(exc.value) == f"reflect expects an Expr, got {type(bad).__name__}"
         assert expr_equal(fn(VAR(2)), APP(VAR(2), CON("c")))
 
-    @pytest.mark.parametrize("bad", [5, None])
+    # a raw tree has a body, but no arity: it is no open term either
+    @pytest.mark.parametrize("bad", [5, None, Abs(Bnd(0))])
     def test_refuses_what_is_not_an_open_term(self, bad):
         for fn in (reflect, to_text):
             with pytest.raises(TypeError) as exc:
