@@ -25,6 +25,8 @@ binding operator merely assembles syntax around its argument, every
 encoded binder passes the syntactic-closure check. It makes exactly
 one ``LAM`` call per ``fn`` and builds raw de Bruijn nodes in between:
 an ``Expr`` wraps only what a closure returns, and the whole result.
+A run of applications of one function shares one ``c_app $$ f`` head:
+the head built just before, when ``f`` is the same object.
 Each closure encodes its body in an environment of its own, a copy of
 the enclosing one extended by its name, so it is a plain function of its
 argument and can be run again (``double_eval_check`` does). The copy
@@ -303,6 +305,9 @@ def _encode(t: NamedTerm, env: dict[str, DbTerm], c_app: Con, c_lam: Con) -> DbT
     # binder's argument; Expr wraps only what a LAM closure returns, so
     # every binder body still passes its properness check
     done: list[DbTerm] = []  # encoded subterms, innermost last
+    # the c_app head built last, shared by a run of applications of one
+    # function; at first the class App, whose App.right is no node's child
+    head = App
     # named terms still to encode, or NApp to join the last two encoded
     todo: list = [t]
     while todo:
@@ -317,7 +322,9 @@ def _encode(t: NamedTerm, env: dict[str, DbTerm], c_app: Con, c_lam: Con) -> DbT
                 raise ValueError(f"unbound variable {node.name!r}") from None
         elif node is NApp:
             right = done.pop()
-            done[-1] = App(App(c_app, done[-1]), right)
+            if head.right is not done[-1]:
+                head = App(c_app, done[-1])
+            done[-1] = App(head, right)
         elif cls is NFree:
             done.append(_VAR[k] if (k := node.index) < _SHARED else Var(k))
         elif cls is NLam:

@@ -55,7 +55,12 @@ share one explicit-stack kernel. It enters a child only
 if the child's cached fields show a target in it (``p in child.pids``
 for ``Probe(p)``, ``child.lvl > j + k`` for ``Bnd(j + k)`` at depth
 ``k``), so it walks just the paths to the targets, every leaf it reaches
-is one, and every other subtree is shared with the input.
+is one, and every other subtree is shared with the input. An ``App``
+rebuilt around a rewritten right child is the one rebuilt just before
+when their children are the same objects, so a run of equal neighbours
+(a Church numeral's ``c_app $$ f`` heads) is one node. Terms are thus
+DAGs, which ``==``, ``hash``, ``repr``, text and pickle read as trees;
+``is`` between subterms is outside the contract.
 
 ``to_text`` writes the canonical text in one loop with no callback per node;
 ``openterm.to_text`` is the same writer with ``Hole`` as its one extra leaf.
@@ -73,9 +78,10 @@ them out, and build a larger index's leaf. The reader shares within a
 call: the first ``(CON a)``, ``(VAR n)``, ``(BND i)`` or ``(HOLE k)`` of
 a text is checked and built, and every later one with the same head and
 atom is that node again (every ``ERR`` is one node), so ``t.left is
-t.right`` for ``(APP (CON c) (CON c))``. A leaf text that is invalid
-fails at its first occurrence, so messages and offsets are those of a
-reader that builds every leaf.
+t.right`` for ``(APP (CON c) (CON c))``; an ``App`` of the children of
+the ``App`` read just before is that node, as in the kernel. A leaf
+text that is invalid fails at its first occurrence, so messages and
+offsets are those of a reader that builds every leaf.
 """
 
 from __future__ import annotations
@@ -595,7 +601,10 @@ def bind_probe(t: DbTerm, p: ProbeId, i: int) -> DbTerm:
 
 def replace_probe(t: DbTerm, p: ProbeId, u: DbTerm) -> DbTerm:
     """Plain node substitution of ``u`` for Probe(p); no depth accounting."""
-    return _substitute(t, p, 0, u)
+    try:
+        return _substitute(t, p, 0, u)
+    except AttributeError:  # as in bind_probe
+        raise _not_term("replace_probe", t, u) from None
 
 
 def _substitute(t: DbTerm, p: Optional[ProbeId], j: int, u: Optional[DbTerm]) -> DbTerm:
@@ -611,6 +620,9 @@ def _substitute(t: DbTerm, p: Optional[ProbeId], j: int, u: Optional[DbTerm]) ->
     stack: list = []
     push, pop = stack.append, stack.pop
     node, depth = t, 0
+    # the App the _APP branch built last; at first the class, whose slot
+    # descriptors App.left and App.right are no node's children
+    last = App
     while True:
         while True:  # down the path to the next target
             cls = type(node)
@@ -632,8 +644,9 @@ def _substitute(t: DbTerm, p: Optional[ProbeId], j: int, u: Optional[DbTerm]) ->
                 break
         while stack:  # up, rebuilding, until a right child holds a target
             top = pop()
-            if top is _APP:
-                out = App(pop(), out)
+            if top is _APP:  # an App of the last one's children is that one
+                left = pop()
+                out = last if left is last.left and out is last.right else (last := App(left, out))
             elif top is _ABS:
                 depth -= 1
                 out = Abs(out)
@@ -750,6 +763,7 @@ def _parse_sexpr(text: str, make_hole: Optional[Callable[[int], object]] = None)
 
     leaves = {"CON": Con, "VAR": Var, "BND": Bnd, "HOLE": make_hole}
     built: dict = {}  # (head, atom) -> the leaf its first occurrence built
+    last = App  # the App built last, as in _substitute
     stack: list = []  # open nodes: _ABS, or _APP then its finished left child
     i = 0
     while True:
@@ -801,7 +815,7 @@ def _parse_sexpr(text: str, make_hole: Optional[Callable[[int], object]] = None)
                 node = Abs(node)
             else:  # the left child of an App; its marker lies below it
                 stack.pop()
-                node = App(top, node)
+                node = last if top is last.left and node is last.right else (last := App(top, node))
             if tokens[i] != ")":
                 fail("expected ')'", i)
             i += 1

@@ -194,6 +194,12 @@ class TestProbes:
             bind_probe(bad, fresh_probe(), 0)
         assert str(caught.value) == f"bind_probe expects a term, got {type(bad).__name__}"
 
+    @pytest.mark.parametrize("bad", [5, None])
+    def test_replace_probe_refuses_a_non_term(self, bad):
+        with pytest.raises(TypeError) as caught:
+            replace_probe(bad, fresh_probe(), Con("a"))
+        assert str(caught.value) == f"replace_probe expects a term, got {type(bad).__name__}"
+
     def test_bind_probe_leaves_other_probes(self):
         p, q = fresh_probe(), fresh_probe()
         t = App(Probe(p), Probe(q))
