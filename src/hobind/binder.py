@@ -45,7 +45,6 @@ from .terms import (
     _natural,
     _node,
     _substitute,
-    bind_probe,
     fresh_probe,
     instantiate,
     level,
@@ -136,7 +135,7 @@ def LAM(fn: Binder1) -> Expr:
     (p,), body = _session(fn)
     if body is None:
         return ERR()
-    return Expr(Abs(bind_probe(body, p, 0)))
+    return Expr(Abs(_substitute(body, p, 0, None)))
 
 
 def ordinary(fn: Binder1) -> bool:

@@ -44,7 +44,6 @@ is one leaf in the process (``terms._VAR``, ``_NFREE``, ``_XVAR``), and
 
 from __future__ import annotations
 
-import functools
 import random
 import re
 import sys
@@ -54,7 +53,7 @@ from typing import Iterator, Union
 from .binder import LAM
 from .expr import Binder1, Expr, _raw, _transparent, to_db
 from .openterm import _pick
-from .terms import (_SHARED, _VAR, Abs, App, Bnd, Con, DbTerm, ParseError, Var, _Branch,
+from .terms import (_SHARED, _VAR, DERIVED, Abs, App, Bnd, Con, DbTerm, ParseError, Var, _Branch,
                     _natural, _node, _offset, _setters, instantiate)
 
 
@@ -122,21 +121,23 @@ NamedTerm = Union[NVar, NFree, NLam, NApp]
 
 @_node
 class OlSig:
-    """The two constants heading encoded applications and abstractions."""
+    """The two constants heading encoded applications and abstractions, and
+    ``heads``, a cached field: their leaves, built once, which ``encode`` hands out."""
 
     c_app: str
     c_lam: str
+    heads: tuple = DERIVED
 
     def __init__(self, c_app: str = "c_app", c_lam: str = "c_lam"):
-        for name in (c_app, c_lam):
-            Con(name)  # raises ValueError unless it is a constant name
+        heads = Con(c_app), Con(c_lam)  # ValueError unless each is a constant name
         if c_app == c_lam:
             raise ValueError("c_app and c_lam must be distinct")
         _sig_app(self, c_app)
         _sig_lam(self, c_lam)
+        _sig_heads(self, heads)
 
 
-_sig_app, _sig_lam = _setters(OlSig, "c_app", "c_lam")
+_sig_app, _sig_lam, _sig_heads = _setters(OlSig, "c_app", "c_lam", "heads")
 
 
 DEFAULT_SIG = OlSig()
@@ -288,14 +289,7 @@ def pretty(t: NamedTerm) -> str:
 # Encoding and decoding
 
 def encode(t: NamedTerm, sig: OlSig = DEFAULT_SIG) -> Expr:
-    return Expr(_encode(t, {}, *_heads(sig.c_app, sig.c_lam)))
-
-
-@functools.lru_cache(maxsize=16)
-def _heads(c_app: str, c_lam: str) -> tuple[Con, Con]:
-    # a signature's two head constants, built once: building them took
-    # nearly a tenth of a small encode. Keyed on names ``OlSig`` has checked
-    return Con(c_app), Con(c_lam)
+    return Expr(_encode(t, {}, *sig.heads))
 
 
 def _encode(t: NamedTerm, env: dict[str, DbTerm], c_app: Con, c_lam: Con) -> DbTerm:

@@ -43,6 +43,7 @@ from .expr import (
 from .terms import (
     _BND,
     _ERR,
+    _LEAF,
     _VAR,
     DERIVED,
     Abs,
@@ -54,9 +55,9 @@ from .terms import (
     Probe,
     _Leaf,
     _is_term,
-    _leaf_offset,
     _natural,
     _node,
+    _offset,
     _parse_sexpr,
     _setters,
     _write_text,
@@ -305,4 +306,4 @@ def _culprit_offset(text: str, body: Body, arity: int) -> int:
     m = next(m for m, (node, depth) in enumerate(leaves)
              if (type(node) is Hole and node.index == top if top >= arity
                  else type(node) is Bnd and node.index >= depth))
-    return _leaf_offset(text, m)
+    return _offset(text, m, _LEAF)

@@ -602,6 +602,7 @@ def bind_probe(t: DbTerm, p: ProbeId, i: int) -> DbTerm:
 def replace_probe(t: DbTerm, p: ProbeId, u: DbTerm) -> DbTerm:
     """Plain node substitution of ``u`` for Probe(p); no depth accounting."""
     try:
+        u.lvl  # None, the kernel's "bind", has no such field, as no non-term does
         return _substitute(t, p, 0, u)
     except AttributeError:  # as in bind_probe
         raise _not_term("replace_probe", t, u) from None
@@ -724,17 +725,11 @@ _ATOM = re.compile(r"[^\s()]+")
 _TOKEN = re.compile(r"[()]|" + _ATOM.pattern)
 
 
-# one leaf, (HOLE k) included; as leaves are matched whole, the atom of
-# (CON ERR) is not taken for a leaf of its own
+# one leaf, (HOLE k) included, so match k of a text that spells a term is
+# leaf k in the order ``walk`` yields leaves; as leaves are matched whole,
+# the atom of (CON ERR) is not taken for a leaf of its own
 _LEAF = re.compile(r"\(\s*(?:CON|VAR|BND|HOLE)\s+" + _ATOM.pattern
                    + r"\s*\)|(?<![^\s()])ERR(?![^\s()])")
-
-
-def _leaf_offset(text: str, m: int) -> int:
-    """Character offset of leaf ``m`` (0-based, in the order ``walk``
-    yields leaves) of the term that ``text`` spells without error.
-    """
-    return next(itertools.islice(_LEAF.finditer(text), m, None)).start()
 
 
 def _offset(text: str, k: int, token: re.Pattern = _TOKEN) -> int:

@@ -199,6 +199,22 @@ class TestLam:
         assert proper(to_db(e))
         assert not to_db(e).pids
 
+    def test_checks_no_index(self, monkeypatch):
+        # LAM binds at the constant index 0 through the kernel, as lbind
+        # does, not through bind_probe, which would check that index
+        seen = []
+        real = terms_mod._index
+
+        def counting(op, i):
+            seen.append(op)
+            return real(op, i)
+
+        for module in (binder_mod, terms_mod):
+            monkeypatch.setattr(module, "_index", counting)
+        e = LAM(lambda x: LAM(lambda y: APP(x, APP(CON("c1"), y))))
+        assert to_db(e) == Abs(Abs(App(Bnd(1), App(Con("c1"), Bnd(0)))))
+        assert seen == []
+
 
 class TestNestedSoundness:
     def test_branch_on_outer_rejected_at_outer(self):

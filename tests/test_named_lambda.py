@@ -1,3 +1,4 @@
+import pickle
 import sys
 import threading
 
@@ -152,9 +153,51 @@ class TestEncode:
         for c_app, c_lam, s in [("c_app", "c_lam", DEFAULT_SIG), ("a", "l", sig)] * 2:
             body = App(App(Con(c_app), Bnd(0)), Bnd(0))
             assert to_db(encode(t, s)) == App(Con(c_lam), Abs(body))
-        # a name is checked as a constant name before it is used as a key
+        # a name is checked as a constant name, c_app first
         with pytest.raises(ValueError, match="bad constant name"):
             OlSig(c_app=["a"])
+        with pytest.raises(ValueError, match=r"bad constant name \['a'\]"):
+            OlSig(c_app=["a"], c_lam="l m")
+
+    def test_sig_keeps_its_head_leaves(self):
+        for c_app, c_lam in [("c_app", "c_lam"), ("a", "l")]:
+            assert OlSig(c_app, c_lam).heads == (Con(c_app), Con(c_lam))
+        assert DEFAULT_SIG.heads == (Con("c_app"), Con("c_lam"))
+
+    def test_encode_hands_out_the_sig_heads(self):
+        # every λ head is the signature's c_lam leaf itself, and every
+        # application head's constant its c_app leaf, under LAM's binding
+        sig = OlSig("a", "l")
+        app, lam = sig.heads
+        t = to_db(encode(parse("fn f. fn x. f (f (x x)) (fn y. y x #2)"), sig))
+        apps = lams = 0
+        stack = [t]
+        while stack:
+            node = stack.pop()
+            if type(node) is App:
+                if node.left == Con("l"):
+                    assert node.left is lam
+                    lams += 1
+                if type(node.left) is App and node.left.left == Con("a"):
+                    assert node.left.left is app
+                    apps += 1
+                stack += (node.left, node.right)
+            elif type(node) is Abs:
+                stack.append(node.body)
+        assert (apps, lams) == (6, 3)
+
+    def test_equal_sigs_behave_as_their_names(self):
+        sig, twin = OlSig("a", "l"), OlSig(c_app="a", c_lam="l")
+        assert sig == twin and sig != OlSig("l", "a") and sig != ("a", "l")
+        assert hash(sig) == hash(twin) == hash(("a", "l"))
+        assert repr(sig) == repr(twin) == "OlSig(c_app='a', c_lam='l')"
+        match sig:
+            case OlSig(c_app, c_lam):
+                matched = c_app, c_lam
+        assert matched == ("a", "l")
+        back = pickle.loads(pickle.dumps(sig))
+        assert back == sig and hash(back) == hash(sig) and repr(back) == repr(sig)
+        assert back.heads == sig.heads and type(back.heads[0]) is Con
 
     def test_sig_requires_distinct_constants(self):
         with pytest.raises(ValueError):

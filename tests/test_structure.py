@@ -2,11 +2,11 @@
 closures on probes and catches the opacity signal, one runner reports
 every law, ``encode``'s closures restore no state, no nested function
 names itself or a sibling, no module imports a name it does not use,
-open terms are walked only to place a parse error, each input rule is
-checked in one place, only ``expr`` reads a term's tree, the public
-names are pinned so that any addition or removal shows up as a change
-to this file, and the package exports none of the de Bruijn kernel but
-its two exceptions.
+open terms are walked only to place a parse error, one function finds
+the k-th match of a pattern, each input rule is checked in one place,
+only ``expr`` reads a term's tree, the public names are pinned so that
+any addition or removal shows up as a change to this file, and the
+package exports none of the de Bruijn kernel but its two exceptions.
 """
 
 import ast
@@ -149,6 +149,15 @@ def test_open_terms_are_walked_only_to_place_a_parse_error():
         lambda n: isinstance(n, ast.Call) and "walk" in names_in(n.func))
         if module == "openterm"]
     assert walks == [("openterm", "_culprit_offset")]
+
+
+def test_one_function_finds_the_kth_match():
+    # ``terms._offset`` finds the k-th match of whatever pattern it is
+    # given; the readers' error paths pass their own and keep no copy
+    locators = top_level_uses(
+        lambda n: isinstance(n, ast.Call) and "islice" in names_in(n.func)
+        and any(isinstance(a, ast.Call) and "finditer" in names_in(a.func) for a in n.args))
+    assert [(module, owner) for module, owner, _ in locators] == [("terms", "_offset")]
 
 
 def test_each_input_rule_is_checked_in_one_place():

@@ -199,6 +199,13 @@ class TestProbes:
         with pytest.raises(TypeError) as caught:
             replace_probe(bad, fresh_probe(), Con("a"))
         assert str(caught.value) == f"replace_probe expects a term, got {type(bad).__name__}"
+        # as the replacement too, at a root target, an inner one and none:
+        # None is the kernel's marker for "bind", not a term to put in
+        p = fresh_probe()
+        for t in (Probe(p), App(Probe(p), Var(0)), C1):
+            with pytest.raises(TypeError) as caught:
+                replace_probe(t, p, bad)
+            assert str(caught.value) == f"replace_probe expects a term, got {type(bad).__name__}"
 
     def test_bind_probe_leaves_other_probes(self):
         p, q = fresh_probe(), fresh_probe()
@@ -484,7 +491,8 @@ METADATA = [
      'Exotic()', []),
     (OpenTerm, [('arity', True, True), ('body', True, True)], ('arity', 'body'),
      None, ["arity: 'int'", "body: 'Body'"]),
-    (OlSig, [('c_app', True, True), ('c_lam', True, True)], ('c_app', 'c_lam'),
+    (OlSig, [('c_app', True, True), ('c_lam', True, True), ('heads', False, False)],
+     ('c_app', 'c_lam'),
      None, ["c_app: 'str' = 'c_app'", "c_lam: 'str' = 'c_lam'"]),
 ]
 
