@@ -7,6 +7,8 @@ only this module reads it. Building a term never looks inside arguments;
 raises ``ExoticUse`` if it carries an opaque binder argument, which makes
 non-syntactic closures detectable. A non-``Expr`` argument raises
 ``TypeError`` naming the operation, once reading its fields has failed.
+
+``expr_equal`` compares the two head classes before it asks ``==``.
 """
 
 from __future__ import annotations
@@ -165,12 +167,14 @@ def expr_equal(e: Expr, f: Expr) -> bool:
     # inspection of a pair: report probes from both sides at once, so an
     # enclosing binder can recognize its own argument in the exception
     try:
-        ep, fp = e._t.pids, f._t.pids
+        ep, fp = (a := e._t).pids, (b := f._t).pids
     except AttributeError:
         raise _not_expr("expr_equal", e, f) from None
     if ep or fp:
         raise ExoticUse(ep | fp, "expr_equal")
-    return e._t == f._t
+    # nodes of two classes differ: no ``==`` to ask, whose two methods would
+    # each return NotImplemented
+    return type(a) is type(b) and a == b
 
 
 def expr_size(e: Expr) -> int:

@@ -567,10 +567,12 @@ def instantiate(t: DbTerm, j: int, u: DbTerm) -> DbTerm:
     ``j`` must be natural and ``u`` proper, so no index shifting is ever
     required. Subtrees with no such occurrence are shared with ``t``.
     """
+    # ``level`` and ``proper`` read inline: each beta-step of the HOAS
+    # layer comes through here
     try:
-        if not level(j + 1, t):
+        if not t.lvl <= j + 1:
             raise PreconditionViolated(f"instantiate: term is not at level {j + 1}")
-        if not proper(u):
+        if not u.lvl <= 0:
             raise PreconditionViolated("instantiate: replacement has dangling indices")
     except AttributeError:
         raise _not_term("instantiate", t, u) from None
@@ -620,7 +622,7 @@ def _substitute(t: DbTerm, p: Optional[ProbeId], j: int, u: Optional[DbTerm]) ->
     # kept, while the right one is; _ABS
     stack: list = []
     push, pop = stack.append, stack.pop
-    node, depth = t, 0
+    node, k = t, j  # k = j + the Abs-depth of node, the index of a target there
     # the App the _APP branch built last; at first the class, whose slot
     # descriptors App.left and App.right are no node's children
     last = App
@@ -629,7 +631,7 @@ def _substitute(t: DbTerm, p: Optional[ProbeId], j: int, u: Optional[DbTerm]) ->
             cls = type(node)
             if cls is App:
                 left = node.left
-                if (p in left.pids) if p is not None else (left.lvl > j + depth):
+                if (p in left.pids) if p is not None else (left.lvl > k):
                     push(node)
                     node = left
                 else:  # so the right one holds it
@@ -639,9 +641,9 @@ def _substitute(t: DbTerm, p: Optional[ProbeId], j: int, u: Optional[DbTerm]) ->
             elif cls is Abs:  # the body holds a target exactly when the Abs does
                 push(_ABS)
                 node = node.body
-                depth += 1
+                k += 1
             else:
-                out = u if u is not None else _BND[k] if (k := j + depth) < _SHARED else Bnd(k)
+                out = u if u is not None else _BND[k] if k < _SHARED else Bnd(k)
                 break
         while stack:  # up, rebuilding, until a right child holds a target
             top = pop()
@@ -649,11 +651,11 @@ def _substitute(t: DbTerm, p: Optional[ProbeId], j: int, u: Optional[DbTerm]) ->
                 left = pop()
                 out = last if left is last.left and out is last.right else (last := App(left, out))
             elif top is _ABS:
-                depth -= 1
+                k -= 1
                 out = Abs(out)
             else:  # an App whose left child is rewritten
                 right = top.right
-                if (p in right.pids) if p is not None else (right.lvl > j + depth):
+                if (p in right.pids) if p is not None else (right.lvl > k):
                     push(out)
                     push(_APP)
                     node = right
@@ -757,7 +759,8 @@ def _parse_sexpr(text: str, make_hole: Optional[Callable[[int], object]] = None)
         raise ParseError(message, _offset(text, k))
 
     leaves = {"CON": Con, "VAR": Var, "BND": Bnd, "HOLE": make_hole}
-    built: dict = {}  # (head, atom) -> the leaf its first occurrence built
+    # a leaf head -> atom -> the leaf its first occurrence built
+    built: dict = {head: {} for head, make in leaves.items() if make}
     last = App  # the App built last, as in _substitute
     stack: list = []  # open nodes: _ABS, or _APP then its finished left child
     i = 0
@@ -775,17 +778,16 @@ def _parse_sexpr(text: str, make_hole: Optional[Callable[[int], object]] = None)
                 stack.append(_APP if head == "APP" else _ABS)
                 i += 2
                 continue
-            node = built.get((head, atom))
+            node = built[head].get(atom) if head in built else None
             if node is None:  # the first occurrence: check and build
                 if head is None:
                     fail("unexpected end of input after '('", i)
-                make = leaves.get(head)
-                if make is None:
+                if head not in built:
                     fail(f"unknown term head {head!r}", i + 1)
                 if atom is None or atom == "(" or atom == ")":
                     fail("unexpected end of input" if atom is None
                          else f"expected an atom, got {atom!r}", i + 2)
-                if make is Con:
+                if head == "CON":
                     value = atom
                 elif not atom.isdecimal():
                     fail(f"expected a natural number, got {atom!r}", i + 2)
@@ -794,7 +796,7 @@ def _parse_sexpr(text: str, make_hole: Optional[Callable[[int], object]] = None)
                         value = int(atom)
                     except ValueError:  # more digits than int() converts
                         fail(f"number longer than {sys.get_int_max_str_digits()} digits", i + 2)
-                node = built[head, atom] = make(value)
+                node = built[head][atom] = leaves[head](value)
             if tokens[i + 3] != ")":
                 fail("expected ')'", i + 3)
             i += 4

@@ -112,6 +112,27 @@ class TestEquality:
         assert APP(VAR(0), VAR(1)) != APP(VAR(1), VAR(0))
         assert CON("c1") != "c1"
 
+    @pytest.mark.parametrize("e,f", [
+        (APP(CON("c_app"), VAR(0)), CON("c_lam")),  # a normalizer's test for a redex
+        (CON("c_lam"), APP(CON("c_app"), VAR(0))),
+        (LAM(lambda x: x), VAR(0)),
+        (ERR(), CON("c")),
+    ], ids=["app-con", "con-app", "abs-var", "err-con"])
+    def test_two_head_classes_ask_no_node_eq(self, monkeypatch, e, f):
+        # nodes of two classes differ, so expr_equal answers without ``==``,
+        # whose methods on both sides would each return NotImplemented
+        calls = []
+        for cls in (App, Abs, Bnd, Con, Err, Var):
+            def counting(self, other, real=cls.__eq__):
+                calls.append(type(self).__name__)
+                return real(self, other)
+
+            monkeypatch.setattr(cls, "__eq__", counting)
+        assert not expr_equal(e, f)
+        assert calls == []
+        assert expr_equal(e, from_db(to_db(e)))  # one class: the node's own ==
+        assert calls == [type(to_db(e)).__name__]
+
     def test_equality_on_probe_carrier_raises(self):
         e = Expr(Probe(fresh_probe()))
         with pytest.raises(ExoticUse):

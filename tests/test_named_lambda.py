@@ -6,6 +6,9 @@ import pytest
 from oracles import encode_reference, named_to_db, subst_named
 
 from hobind import binder
+from hobind import expr as expr_mod
+from hobind import named_lambda as nl_mod
+from hobind import terms as terms_mod
 from hobind.binder import LAM, abstr
 from hobind.expr import APP, CON, ERR, VAR, ExoticUse, cases, expr_equal, to_db, VApp, VLam
 from hobind.named_lambda import (
@@ -27,7 +30,7 @@ from hobind.named_lambda import (
     pretty,
     well_scoped,
 )
-from hobind.terms import Abs, App, Bnd, Con, Err, ParseError, Var
+from hobind.terms import Abs, App, Bnd, Con, Err, ParseError, Var, instantiate
 
 
 SHOWCASE = "fn x. fn y. (x y) #3"
@@ -373,6 +376,14 @@ class TestAlphaEq:
                 assert alpha_eq(t, terms[j]) == (keys[i] == keys[j])
 
 
+# a beta-step on an encoded abstraction, through apply_binder and through
+# the binder of the view ``cases`` gives of its LAM
+BETA_STEPS = {
+    "apply_binder": apply_binder,
+    "cases-binder": lambda e, x: cases(cases(e).right).binder(x),
+}
+
+
 class TestApplyBinder:
     def test_example(self):
         e = apply_binder(encode(parse("fn x. x #1")), VAR(9))
@@ -436,6 +447,30 @@ class TestApplyBinder:
         identity = encode(parse("fn y. y"))
         e = LAM(lambda x: apply_binder(identity, x))
         assert expr_equal(e, LAM(lambda x: x))
+
+    @pytest.mark.parametrize("step", BETA_STEPS.values(), ids=BETA_STEPS.keys())
+    def test_checks_inline(self, monkeypatch, step):
+        # a beta-step calls instantiate, which reads the level of both terms
+        # inline: the index rule is the only check with frames of its own
+        e, x = encode(parse("fn x. x (fn y. y x)")), VAR(0)
+        want, seen = encode(parse("#0 (fn y. y #0)")), []
+        for name in ("instantiate", "level", "proper", "_index", "_natural"):
+            def counting(*args, name=name, real=getattr(terms_mod, name)):
+                seen.append(name)
+                return real(*args)
+
+            for module in (terms_mod, expr_mod, nl_mod):
+                monkeypatch.setattr(module, name, counting, raising=False)
+        out = step(e, x)
+        assert seen == ["instantiate", "_index", "_natural"]
+        assert expr_equal(out, want)
+
+    @pytest.mark.parametrize("step", BETA_STEPS.values(), ids=BETA_STEPS.keys())
+    def test_agrees_with_instantiate(self, step):
+        for t in enumerate_named_terms(5):
+            if type(t) is NLam:
+                e = encode(t)
+                assert to_db(step(e, VAR(0))) == instantiate(to_db(e).right.body, 0, Var(0))
 
     def test_matches_substitution_oracle(self):
         args = [parse("#0"), parse("fn a. a"), parse("(#1 #2)"), parse("fn a. #1 a")]
