@@ -19,7 +19,6 @@ library of deliberately exotic closures.
 
 from __future__ import annotations
 
-import functools
 import random
 from typing import Callable, Iterator, Sequence, Union
 
@@ -128,15 +127,14 @@ def reflect(ot: OpenTerm) -> Callable[..., Expr]:
         body, arity = ot.body, ot.arity
     except AttributeError:  # read first, so an OpenTerm pays nothing for the check
         raise TypeError(f"reflect expects an OpenTerm, got {type(ot).__name__}") from None
-    return binder._section(body, _hole_ids(arity), "reflect")
+    # the ids ~0, ..., ~(arity - 1): a sweep reflects thousands of open
+    # terms of arity 1 or 2, and building the tuple took more than a third
+    # of a reflect, so the law arities' tuples are built once
+    ids = _HOLE_IDS[arity] if arity < len(_HOLE_IDS) else tuple(range(-1, ~arity, -1))
+    return binder._section(body, ids, "reflect")
 
 
-@functools.lru_cache(maxsize=16)
-def _hole_ids(arity: int) -> tuple[int, ...]:
-    # the ids ~0, ..., ~(arity - 1), built once per arity: a sweep
-    # reflects thousands of open terms of arity 1 or 2, and building the
-    # tuple took more than a third of a reflect
-    return tuple(range(-1, ~arity, -1))
+_HOLE_IDS = ((), (-1,), (-1, -2))
 
 
 def reify(fn: Callable[..., Expr], arity: int = 1) -> OpenTerm:
@@ -155,7 +153,7 @@ def reify(fn: Callable[..., Expr], arity: int = 1) -> OpenTerm:
     if foreign:
         raise ExoticUse(foreign, "reify")
     # the shared leaves, which start Hole(0), ..., Hole(arity - 1)
-    for p, hole in zip(probes, _leaves(arity, 0)):
+    for p, hole in zip(probes, _leaves(arity)[0]):
         body = replace_probe(body, p, hole)
     return OpenTerm(arity, body)
 
@@ -163,14 +161,22 @@ def reify(fn: Callable[..., Expr], arity: int = 1) -> OpenTerm:
 # ---------------------------------------------------------------------------
 # Generators. Fixed enumeration alphabet: two constants, Var/Bnd indices 0..1.
 
-_CONS = (Con("c1"), Con("c2"))
 _MAX_INDEX = 2
 
 
-@functools.cache
-def _leaves(arity: int, binders: int) -> tuple[Body, ...]:
-    return (*(Hole(k) for k in range(arity)), *_CONS,
-            *_VAR[:_MAX_INDEX], _ERR, *_BND[:min(binders, _MAX_INDEX)])
+def _leaf_table(arity: int) -> tuple[tuple[Body, ...], ...]:
+    # the leaves of a body of ``arity`` under 0, 1, ..., _MAX_INDEX binders
+    leaves = (*map(Hole, range(arity)), Con("c1"), Con("c2"), *_VAR[:_MAX_INDEX], _ERR)
+    return tuple((*leaves, *_BND[:b]) for b in range(_MAX_INDEX + 1))
+
+
+# built once for the arities the laws use; any other arity builds its
+# table per call, so no caller's arity is held for the life of the process
+_LEAVES = tuple(map(_leaf_table, range(3)))
+
+
+def _leaves(arity: int) -> tuple[tuple[Body, ...], ...]:
+    return _LEAVES[arity] if arity < len(_LEAVES) else _leaf_table(arity)
 
 
 def enumerate_open_terms(arity: int, max_depth: int) -> Iterator[OpenTerm]:
@@ -181,9 +187,9 @@ def enumerate_open_terms(arity: int, max_depth: int) -> Iterator[OpenTerm]:
     # of the current height under b binders, for each b at which a body of
     # height max_depth can have a subterm of that height; with no recursion
     # there is no cached closure calling itself, a reference cycle
-    bodies = [_leaves(arity, b) for b in range(max_depth)]
+    leaves = bodies = [_leaves(arity)[min(b, _MAX_INDEX)] for b in range(max_depth)]
     for _ in range(1, max_depth):
-        bodies = [[*_leaves(arity, b), *(App(l, r) for l in sub for r in sub),
+        bodies = [[*leaves[b], *(App(l, r) for l in sub for r in sub),
                    *map(Abs, bodies[b + 1])] for b, sub in enumerate(bodies[:-1])]
     for b in bodies[0]:
         yield OpenTerm(arity, b)
@@ -198,7 +204,7 @@ def _draw_open_term(rng: random.Random, arity: int, max_depth: int) -> OpenTerm:
     """The next open term of ``gen_open_term``'s kind drawn from ``rng``."""
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    return OpenTerm(arity, _gen_open(rng.random, rng.getrandbits, arity, max_depth, 0))
+    return OpenTerm(arity, _gen_open(rng.random, rng.getrandbits, _leaves(arity), max_depth, 0))
 
 
 def _pick(bits: Callable[[int], int], seq: Sequence):
@@ -215,22 +221,23 @@ def _pick(bits: Callable[[int], int], seq: Sequence):
     return seq[r]
 
 
-def _gen_open(coin, bits, arity: int, depth: int, binders: int) -> Body:
-    """A body of height <= ``depth``. At module level: a closure that calls
+def _gen_open(coin, bits, table, depth: int, binders: int) -> Body:
+    """A body of height <= ``depth`` under ``binders`` (up to _MAX_INDEX)
+    binders, from a ``_leaves`` table. At module level: a closure that calls
     itself is a reference cycle, left to the cycle collector by each draw."""
     if depth <= 1 or coin() < 0.3:
-        return _pick(bits, _leaves(arity, binders))
+        return _pick(bits, table[binders])
     if coin() < 0.5:
-        return App(_gen_open(coin, bits, arity, depth - 1, binders),
-                   _gen_open(coin, bits, arity, depth - 1, binders))
-    return Abs(_gen_open(coin, bits, arity, depth - 1, binders + 1))
+        return App(_gen_open(coin, bits, table, depth - 1, binders),
+                   _gen_open(coin, bits, table, depth - 1, binders))
+    return Abs(_gen_open(coin, bits, table, depth - 1, min(binders + 1, _MAX_INDEX)))
 
 
 def enumerate_db_terms(max_size: int) -> Iterator[DbTerm]:
     """All raw terms of node count <= max_size over the enumeration
     alphabet, dangling indices included.
     """
-    by_size: dict[int, list[DbTerm]] = {1: list(_leaves(0, _MAX_INDEX))}
+    by_size: dict[int, list[DbTerm]] = {1: list(_LEAVES[0][_MAX_INDEX])}
     for s in range(2, max_size + 1):
         out: list[DbTerm] = [Abs(b) for b in by_size[s - 1]]
         for a in range(1, s - 1):

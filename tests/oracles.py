@@ -126,6 +126,11 @@ def preorder(t):
     return out
 
 
+def leaves(t):
+    """The leaves of a de Bruijn term, in pre-order."""
+    return [node for node in preorder(t) if not isinstance(node, type)]
+
+
 def walk_recursive(t, depth=0):
     """``(node, Abs-depth)`` for every node of ``t`` in pre-order, by plain
     recursion.

@@ -294,6 +294,19 @@ class TestNestedSoundness:
         e = LAM(lambda x: LAM(lambda y: APP(x, LAM(lambda z: APP(z, x)))))
         assert to_db(e) == Abs(Abs(App(Bnd(1), Abs(App(Bnd(0), Bnd(2))))))
 
+    # ROADMAP item 4: the fix makes the second LAM refuse the stored probe
+    # or build a term to_db accepts, and either way flips this test
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a probe stored by one LAM escapes into another's term")
+    def test_stored_probe_does_not_reach_a_public_term(self):
+        leak = []
+        LAM(lambda x: (leak.append(x), x)[1])
+        e = LAM(lambda z: APP(z, leak[0]))
+        try:
+            to_db(e)
+        except ExoticUse as exc:  # a BaseException: only this refusal is the expected failure
+            raise AssertionError(f"to_db refuses the Expr LAM returned: {exc}") from None
+
 
 class TestOrdinary:
     def test_bare_argument_is_not_ordinary(self):

@@ -5,8 +5,10 @@ import sys
 import pytest
 
 import hobind
+import hobind.binder as binder_mod
 import hobind.laws as laws_mod
 from hobind.cli import main
+from hobind.named_lambda import NApp, decode, encode, gen_named_term, pretty
 
 ENCODED_DB = (
     "(APP (CON c_lam) (ABS (APP (CON c_lam) (ABS (APP (APP (CON c_app) "
@@ -110,6 +112,21 @@ class TestDecode:
         code, _, _ = run(capsys, "decode", "-e", "(BND 0)")
         assert code == 3
 
+    def test_c_app_with_one_argument_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "decode", "-e", "(APP (CON c_app) (VAR 0))")
+        assert (code, out) == (3, "") and err.startswith("error: ")
+
+    def test_round_trip_through_the_text(self, capsys):
+        # a term of about 570 nodes, named as decode names them, through
+        # the de Bruijn text and its leaf-sharing reader
+        t = gen_named_term(40, 0)
+        for seed in range(1, 40):
+            t = NApp(t, gen_named_term(40, seed))
+        text = pretty(decode(encode(t)))
+        code, db, _ = run(capsys, "encode", "--out", "db", "-e", text)
+        assert code == 0
+        assert run(capsys, "decode", "-e", db) == run(capsys, "encode", "--out", "named", "-e", text)
+
     def test_cli_boundary_round_trip(self, capsys):
         for text in ["fn x. fn y. (x y) #3", "fn x. x #0 (fn y. y)", "#2"]:
             code, encoded, _ = run(capsys, "encode", "-e", text, "--out", "db")
@@ -177,6 +194,16 @@ class TestSweep:
         code1, out1, _ = run(capsys, "sweep", "--depth", "2", "--seed", "7", "--count", "10")
         code2, out2, _ = run(capsys, "sweep", "--depth", "2", "--seed", "7", "--count", "10")
         assert (code1, out1) == (code2, out2)
+
+    # depth 5 draws past the exhaustive sets, which depth 2 never does
+    @pytest.mark.parametrize("depth", [3, 5])
+    def test_double_evaluation_prints_what_the_plain_run_prints(self, capsys, monkeypatch, depth):
+        # every binder session, encode's closures included, evaluated twice
+        argv = ("sweep", "--depth", str(depth), "--count", "100")
+        plain = run(capsys, *argv)
+        assert plain[0] == 0
+        monkeypatch.setattr(binder_mod, "double_eval_check", True)
+        assert run(capsys, *argv) == plain
 
     def test_injected_mutant_is_caught(self, capsys, monkeypatch):
         # a broken canonical key that ignores free-variable numbers must

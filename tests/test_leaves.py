@@ -19,11 +19,8 @@ from hobind.named_lambda import (_BOUND, _FREE, _NFREE, _XVAR, NApp, NFree, NLam
                                  _draw_named_term, decode, encode, enumerate_named_terms, parse,
                                  pretty)
 from hobind.terms import (_BND, _SHARED, _VAR, Abs, App, Bnd, Probe, Var, bind_probe, fresh_probe,
-                          to_text, walk)
-
-def leaves(t):
-    """The leaves of a de Bruijn term, in pre-order."""
-    return [node for node, _ in walk(t) if type(node) not in (App, Abs)]
+                          to_text)
+from oracles import leaves
 
 
 def named_leaves(t):

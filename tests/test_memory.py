@@ -7,16 +7,21 @@ leave a cycle behind on every call (``tests/test_structure.py`` keeps
 them out of the source). Each case runs once to fill the caches and
 finish any lazy set-up, then once more with the collector off, after
 which ``gc.collect()`` must find no unreachable object.
+
+Nor does a call leave memory behind for the arity its caller chose: no
+table that lives as long as the process is keyed on it.
 """
 
 import gc
+import tracemalloc
 
 import pytest
 
 from hobind import APP, LAM, VAR, cases, from_db, laws, terms, to_db
 from hobind.named_lambda import (apply_binder, decode, encode, enumerate_named_terms, parse,
                                  pretty)
-from hobind.openterm import enumerate_db_terms, enumerate_open_terms
+from hobind.openterm import (Hole, OpenTerm, enumerate_db_terms, enumerate_open_terms, reflect,
+                             reify)
 
 
 def cyclic_garbage(call) -> int:
@@ -66,3 +71,29 @@ def view_binder():
         "cases-binder", "enumerate_open_terms", "enumerate_db_terms", "enumerate_named_terms"])
 def test_leaves_no_cyclic_garbage(call):
     assert cyclic_garbage(call) == 0
+
+
+def retained_bytes(call) -> int:
+    """The bytes still allocated after ``call()`` and a full collection."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+ARITY = 5_000  # far above the arities the laws use, 0, 1 and 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda: reify(lambda *xs: xs[0], ARITY),
+    lambda: reflect(OpenTerm(ARITY, Hole(ARITY - 1)))(*[VAR(0)] * ARITY),
+    lambda: next(enumerate_open_terms(ARITY, 1)),
+], ids=["reify", "reflect", "enumerate_open_terms"])
+def test_large_arity_leaves_nothing_behind(call):
+    # a table kept per arity held 67 MB after one reify of arity 200 000
+    assert retained_bytes(call) < 64 * 1024

@@ -13,15 +13,11 @@ from hobind.expr import Expr, pretty
 from hobind.named_lambda import enumerate_named_terms
 from hobind.openterm import Hole, enumerate_db_terms, enumerate_open_terms, reflect
 from hobind.terms import Abs, App, Bnd, Con, Probe, Var, replace_probe, walk
-from oracles import fill_recursive, pretty_recursive, walk_recursive
+from oracles import fill_recursive, leaves, pretty_recursive, walk_recursive
 from test_cache import TERMS
 
 SMALL = list(enumerate_db_terms(5))
 ARGS = (App(Con("a"), Var(0)), Abs(Bnd(0)))  # for Hole(0) and Hole(1)
-
-
-def leaves(t):
-    return [node for node, _ in walk(t) if type(node) not in (App, Abs)]
 
 
 def assert_same_fill(got, body):
